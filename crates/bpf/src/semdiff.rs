@@ -56,8 +56,15 @@
 //! both sides and observed to diverge — witnesses are never synthesized
 //! from the abstract pass alone (differentially property-tested below
 //! and fuzzed by the `semdiff_witness` target).
+//!
+//! [`diff_sides`] builds the full per-syscall report; [`first_unsafe`],
+//! the reload gate, gives only its safe/unsafe answer from the same
+//! per-syscall walk, stopping at the first unsafe syscall.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+use std::sync::OnceLock;
 
 use crate::analysis::{self, AnalysisConfig};
 use crate::insn::MEMWORDS;
@@ -193,7 +200,7 @@ pub struct Witness {
 }
 
 /// The per-syscall comparison result.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SyscallDiff {
     /// The syscall number the comparison was pinned to.
     pub nr: u32,
@@ -289,6 +296,10 @@ struct Elem<'a> {
 pub struct SemSide<'a> {
     elems: Vec<Elem<'a>>,
     default_action: SeccompAction,
+    /// Per-element predicate facts, harvested on first use so that
+    /// [`interesting_nrs`] and the per-syscall walk scan each program
+    /// once between them.
+    facts: OnceLock<Vec<ProgramFacts>>,
 }
 
 impl<'a> SemSide<'a> {
@@ -301,6 +312,7 @@ impl<'a> SemSide<'a> {
                 exec: Exec::Vm,
             }],
             default_action: SeccompAction::KillProcess,
+            facts: OnceLock::new(),
         }
     }
 
@@ -314,6 +326,7 @@ impl<'a> SemSide<'a> {
                 exec: Exec::Dag(dag),
             }],
             default_action: SeccompAction::KillProcess,
+            facts: OnceLock::new(),
         }
     }
 
@@ -333,6 +346,7 @@ impl<'a> SemSide<'a> {
                 })
                 .collect(),
             default_action,
+            facts: OnceLock::new(),
         }
     }
 
@@ -352,6 +366,7 @@ impl<'a> SemSide<'a> {
                 })
                 .collect(),
             default_action,
+            facts: OnceLock::new(),
         }
     }
 
@@ -417,6 +432,12 @@ impl<'a> SemSide<'a> {
             ip_dependent,
             may_fault,
         }
+    }
+
+    /// The symbolic scan of every element, computed once per side.
+    fn facts(&self) -> &[ProgramFacts] {
+        self.facts
+            .get_or_init(|| self.elems.iter().map(|e| scan_program(e.program)).collect())
     }
 
     fn has_dag(&self) -> bool {
@@ -796,37 +817,13 @@ pub fn diff_sides(
     nrs: &[u32],
     cfg: &DiffConfig,
 ) -> DiffReport {
-    let mut seen = Vec::new();
     let mut syscalls = Vec::new();
     let mut inputs_executed = 0u64;
-    let same = old.same_structure(new);
-    // Predicate facts are nr-independent; harvest once per program.
-    let (old_facts, new_facts): (Vec<ProgramFacts>, Vec<ProgramFacts>) = if same {
-        (Vec::new(), Vec::new())
-    } else {
-        (
-            old.elems.iter().map(|e| scan_program(e.program)).collect(),
-            new.elems.iter().map(|e| scan_program(e.program)).collect(),
-        )
-    };
-    for &nr in nrs {
-        if seen.contains(&nr) {
-            continue;
-        }
-        seen.push(nr);
-        if same {
-            syscalls.push(SyscallDiff {
-                nr,
-                relation: Relation::Equivalent,
-                proof: Proof::Abstract,
-                witness: None,
-            });
-            continue;
-        }
-        let (diff, inputs) = diff_nr(old, new, &old_facts, &new_facts, nr, cfg);
+    let ControlFlow::Continue(()) = walk::<Infallible>(old, new, nrs, cfg, |diff, inputs| {
         inputs_executed = inputs_executed.saturating_add(inputs);
         syscalls.push(diff);
-    }
+        ControlFlow::Continue(())
+    });
     let relation = syscalls
         .iter()
         .fold(Relation::Equivalent, |acc, s| acc.join(s.relation));
@@ -837,14 +834,110 @@ pub fn diff_sides(
     }
 }
 
-fn diff_nr(
+/// The reload gate: the same safe/unsafe answer as
+/// `diff_sides(old, new, nrs, cfg).relation.is_safe_swap()`, without
+/// building the report.
+///
+/// Before any abstract interpretation, every probe number runs once on
+/// both sides with zero arguments; the first one the new side answers
+/// with a higher-precedence (less restrictive) action is refused at
+/// once, as [`Relation::Relaxes`] with that VM-executed input as its
+/// witness. (The full comparison may find that syscall `Incomparable`:
+/// the fast path proves only that it is not a safe swap.) Otherwise the
+/// per-syscall walk stops at the first syscall whose relation is not a
+/// safe swap.
+///
+/// # Errors
+///
+/// The first offending [`SyscallDiff`], carrying its witness when the
+/// search found one.
+pub fn first_unsafe(
     old: &SemSide<'_>,
     new: &SemSide<'_>,
-    old_facts: &[ProgramFacts],
-    new_facts: &[ProgramFacts],
-    nr: u32,
+    nrs: &[u32],
     cfg: &DiffConfig,
-) -> (SyscallDiff, u64) {
+) -> Result<Relation, SyscallDiff> {
+    if !old.same_structure(new) {
+        if let Some(diff) = zero_arg_relaxation(old, new, nrs, cfg.arch) {
+            return Err(diff);
+        }
+    }
+    let mut relation = Relation::Equivalent;
+    let walked = walk(old, new, nrs, cfg, |diff, _| {
+        if diff.relation.is_safe_swap() {
+            relation = relation.join(diff.relation);
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(diff)
+        }
+    });
+    match walked {
+        ControlFlow::Continue(()) => Ok(relation),
+        ControlFlow::Break(diff) => Err(diff),
+    }
+}
+
+/// The gate's fast path: the first probe number on which the new side,
+/// run with zero arguments, is less restrictive than the old.
+fn zero_arg_relaxation(
+    old: &SemSide<'_>,
+    new: &SemSide<'_>,
+    nrs: &[u32],
+    arch: u32,
+) -> Option<SyscallDiff> {
+    nrs.iter().find_map(|&nr| {
+        let data = build_data(nr, arch, 0, [0; 6]);
+        let (wo, wn) = (old.decide(&data), new.decide(&data));
+        let (SideDecision::Action(o), SideDecision::Action(n)) = (wo, wn) else {
+            return None;
+        };
+        (n.precedence() > o.precedence()).then_some(SyscallDiff {
+            nr,
+            relation: Relation::Relaxes,
+            proof: Proof::Bounded { inputs: 1 },
+            witness: Some(Witness {
+                data,
+                old: wo,
+                new: wn,
+            }),
+        })
+    })
+}
+
+/// The one per-syscall walk behind [`diff_sides`] and [`first_unsafe`]:
+/// compares each distinct number in the order given (duplicates
+/// removed), hands every result and its executed-input count to
+/// `visit`, and stops as soon as `visit` breaks.
+fn walk<B>(
+    old: &SemSide<'_>,
+    new: &SemSide<'_>,
+    nrs: &[u32],
+    cfg: &DiffConfig,
+    mut visit: impl FnMut(SyscallDiff, u64) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let same = old.same_structure(new);
+    let mut seen = HashSet::with_capacity(nrs.len());
+    for &nr in nrs {
+        if !seen.insert(nr) {
+            continue;
+        }
+        let (diff, inputs) = if same {
+            let diff = SyscallDiff {
+                nr,
+                relation: Relation::Equivalent,
+                proof: Proof::Abstract,
+                witness: None,
+            };
+            (diff, 0)
+        } else {
+            diff_nr(old, new, nr, cfg)
+        };
+        visit(diff, inputs)?;
+    }
+    ControlFlow::Continue(())
+}
+
+fn diff_nr(old: &SemSide<'_>, new: &SemSide<'_>, nr: u32, cfg: &DiffConfig) -> (SyscallDiff, u64) {
     let a_old = old.abstract_at(nr, cfg.arch);
     let a_new = new.abstract_at(nr, cfg.arch);
 
@@ -905,6 +998,7 @@ fn diff_nr(
     fields.sort_unstable();
     fields.dedup();
 
+    let (old_facts, new_facts) = (old.facts(), new.facts());
     let mut simple = !a_old.may_fault && !a_new.may_fault;
     for f in old_facts.iter().chain(new_facts.iter()) {
         simple &= f.simple;
@@ -1041,8 +1135,7 @@ pub fn interesting_nrs(
 ) -> Vec<u32> {
     let mut nrs: Vec<u32> = vec![0];
     for side in [old, new] {
-        for elem in &side.elems {
-            let facts = scan_program(elem.program);
+        for facts in side.facts() {
             if let Some(preds) = facts.preds.get(&SeccompData::OFF_NR) {
                 for p in preds {
                     nrs.push(p.k);
@@ -1287,6 +1380,69 @@ mod tests {
     }
 
     #[test]
+    fn gate_refuses_an_added_syscall_on_the_zero_arg_probe() {
+        let old = nr_whitelist(&[0, 1]);
+        let new = nr_whitelist(&[0, 1, 7]);
+        let (o, n) = (SemSide::filter(&old), SemSide::filter(&new));
+        let nrs = interesting_nrs(&o, &n, [500u32]);
+        let diff = first_unsafe(&o, &n, &nrs, &DiffConfig::default()).unwrap_err();
+        assert_eq!((diff.nr, diff.relation), (7, Relation::Relaxes));
+        assert_eq!(
+            diff.proof,
+            Proof::Bounded { inputs: 1 },
+            "one probe, no search"
+        );
+        let w = diff.witness.expect("VM-executed witness");
+        assert_eq!(w.data.args, [0; 6]);
+        assert_eq!(w.new, SideDecision::Action(SeccompAction::Allow));
+    }
+
+    #[test]
+    fn gate_finds_an_argument_relaxation_in_the_walk() {
+        // old: allow when arg0-lo == 3; new: also when == 4. Zero
+        // arguments are denied on both sides, so the walk must find it,
+        // and it stops at the first number given.
+        let arg0 = SeccompData::off_arg_lo(0);
+        let old = prog(vec![
+            Insn::LdAbs(arg0),
+            jeq(3, 0, 1),
+            Insn::RetK(ALLOW),
+            Insn::RetK(KILL),
+        ]);
+        let new = prog(vec![
+            Insn::LdAbs(arg0),
+            jeq(3, 1, 0),
+            jeq(4, 0, 1),
+            Insn::RetK(ALLOW),
+            Insn::RetK(KILL),
+        ]);
+        let (o, n) = (SemSide::filter(&old), SemSide::filter(&new));
+        let diff = first_unsafe(&o, &n, &[5, 1], &DiffConfig::default()).unwrap_err();
+        assert_eq!((diff.nr, diff.relation), (5, Relation::Relaxes));
+        assert_eq!(diff.witness.expect("witness").data.args[0], 4);
+    }
+
+    #[test]
+    fn gate_admits_with_the_joined_relation() {
+        let old = nr_whitelist(&[0, 1, 39]);
+        let new = nr_whitelist(&[0, 39]);
+        let (o, n) = (SemSide::filter(&old), SemSide::filter(&new));
+        let nrs = interesting_nrs(&o, &n, [500u32]);
+        let cfg = DiffConfig::default();
+        assert_eq!(first_unsafe(&o, &n, &nrs, &cfg), Ok(Relation::Refines));
+        assert_eq!(first_unsafe(&o, &o, &nrs, &cfg), Ok(Relation::Equivalent));
+    }
+
+    #[test]
+    fn walk_keeps_the_given_order_without_duplicates() {
+        let a = nr_whitelist(&[1]);
+        let b = nr_whitelist(&[2]);
+        let report = diff_filters(&a, &b, &[9, 2, 1, 9, 2], &DiffConfig::default());
+        let order: Vec<u32> = report.syscalls.iter().map(|s| s.nr).collect();
+        assert_eq!(order, vec![9, 2, 1]);
+    }
+
+    #[test]
     fn relation_join_is_a_lattice() {
         use Relation::{Equivalent, Incomparable, Refines, Relaxes};
         for r in [Equivalent, Refines, Relaxes, Incomparable] {
@@ -1384,6 +1540,31 @@ mod tests {
                     prop_assert!(va != vb, "witness {:?} does not diverge", w.data);
                     prop_assert_eq!(SideDecision::Action(va), w.old);
                     prop_assert_eq!(SideDecision::Action(vb), w.new);
+                }
+            }
+
+            /// The gate admits exactly the pairs the full report calls a
+            /// safe swap, with the joined relation; each refusal names an
+            /// unsafe syscall, and its witness replays as recorded.
+            #[test]
+            fn gate_agrees_with_full_diff(a in arb_program(), b in arb_program()) {
+                let (sa, sb) = (SemSide::filter(&a), SemSide::filter(&b));
+                let nrs = interesting_nrs(&sa, &sb, 0..8u32);
+                let cfg = DiffConfig::default();
+                let report = diff_sides(&sa, &sb, &nrs, &cfg);
+                match first_unsafe(&sa, &sb, &nrs, &cfg) {
+                    Ok(relation) => prop_assert_eq!(relation, report.relation),
+                    Err(diff) => {
+                        prop_assert!(!report.relation.is_safe_swap(), "{:?}", report);
+                        prop_assert!(!diff.relation.is_safe_swap());
+                        if let Some(w) = diff.witness {
+                            let va = Interpreter::new(&a).run(&w.data).unwrap().action;
+                            let vb = Interpreter::new(&b).run(&w.data).unwrap().action;
+                            prop_assert_eq!(SideDecision::Action(va), w.old);
+                            prop_assert_eq!(SideDecision::Action(vb), w.new);
+                            prop_assert!(vb.precedence() >= va.precedence() && va != vb);
+                        }
+                    }
                 }
             }
 

@@ -15,8 +15,11 @@ pub enum DracoError {
     /// candidate profile would relax — or could not be proven not to
     /// relax — the installed policy.
     ReloadRejected {
-        /// The overall relation of the candidate vs. the installed
-        /// policy (never `Equivalent`/`Refines` here).
+        /// The first offending syscall's relation (never
+        /// `Equivalent`/`Refines` here). The gate stops at that syscall,
+        /// so this is not the join over all of them: it can read
+        /// `relaxes` where `dracoctl diff` reports `incomparable`
+        /// overall.
         relation: draco_bpf::semdiff::Relation,
         /// The first offending per-syscall diff, carrying a
         /// VM-verified divergence witness when the search found one.

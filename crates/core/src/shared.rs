@@ -241,14 +241,16 @@ pub enum ReloadPolicy {
     /// flagged.
     #[default]
     Permissive,
-    /// Run the semantic policy differ
-    /// ([`draco_profiles::diff_profiles`]) on candidate-vs-installed
+    /// Run the relation-only reload gate
+    /// ([`draco_profiles::refinement_gate`]) on candidate-vs-installed
     /// and refuse the reload unless the candidate is proven
     /// `Equivalent` or `Refines` — i.e. the operator's *intent* is a
-    /// tightening, not just the intersection's arithmetic. A refusal
-    /// surfaces as [`DracoError::ReloadRejected`] with the offending
-    /// syscall and (when the search found one) a VM-verified witness,
-    /// and counts in [`CheckerStats::reloads_refused`].
+    /// tightening, not just the intersection's arithmetic. The gate
+    /// gives the same answer as a full `diff_profiles` but stops at the
+    /// first unsafe syscall. A refusal surfaces as
+    /// [`DracoError::ReloadRejected`] with that syscall and (when the
+    /// search found one) a VM-verified witness, and counts in
+    /// [`CheckerStats::reloads_refused`].
     RequireRefinement,
 }
 
@@ -621,13 +623,13 @@ impl SharedDracoProcess {
     /// Like [`SharedDracoProcess::install_additional`], but vetting the
     /// candidate through a [`ReloadPolicy`] first. Under
     /// [`ReloadPolicy::RequireRefinement`] the candidate profile is
-    /// semantically diffed against the installed one (both compiled to
-    /// their real filter stacks) and refused unless proven `Equivalent`
-    /// or `Refines`; either outcome is counted in
+    /// gated against the installed one (both compiled to their real
+    /// filter stacks) and refused unless proven `Equivalent` or
+    /// `Refines`; either outcome is counted in
     /// [`CheckerStats::reloads_permitted`] /
     /// [`CheckerStats::reloads_refused`] and the process metrics.
     ///
-    /// The diff runs inside the policy write critical section, so the
+    /// The gate runs inside the policy write critical section, so the
     /// relation is established against exactly the policy being
     /// replaced; lock-free readers are unaffected (only the miss path's
     /// brief read-lock contends).
@@ -652,23 +654,19 @@ impl SharedDracoProcess {
             decision = match reload_policy {
                 ReloadPolicy::Permissive => ReloadDecision::Installed,
                 ReloadPolicy::RequireRefinement => {
-                    let diff = draco_profiles::diff_profiles(&guard.profile, extra)
-                        .map_err(DracoError::FilterCompile)?;
-                    let relation = diff.report.relation;
-                    if !relation.is_safe_swap() {
-                        drop(guard);
-                        state.lock_aggregate().stats.reloads_refused += 1;
-                        return Err(DracoError::ReloadRejected {
-                            relation,
-                            diff: diff
-                                .report
-                                .syscalls
-                                .iter()
-                                .find(|s| !s.relation.is_safe_swap())
-                                .copied(),
-                        });
+                    match draco_profiles::refinement_gate(&guard.profile, extra)
+                        .map_err(DracoError::FilterCompile)?
+                    {
+                        Ok(relation) => ReloadDecision::ProvenSafe(relation),
+                        Err(diff) => {
+                            drop(guard);
+                            state.lock_aggregate().stats.reloads_refused += 1;
+                            return Err(DracoError::ReloadRejected {
+                                relation: diff.relation,
+                                diff: Some(diff),
+                            });
+                        }
                     }
-                    ReloadDecision::ProvenSafe(relation)
                 }
             };
             let combined = guard.profile.intersect(extra);
@@ -1514,6 +1512,23 @@ mod tests {
             crate::ReloadDecision::ProvenSafe(draco_bpf::semdiff::Relation::Equivalent)
         );
         assert_eq!(process.stats().reloads_permitted, 2);
+    }
+
+    #[test]
+    fn equivalent_reloads_keep_the_profile_name() {
+        let installed = draco_profiles::firecracker();
+        let process = SharedDracoProcess::spawn(ProcessId(10), &installed).unwrap();
+        for _ in 0..16 {
+            let decision = process
+                .install_additional_with(&installed, crate::ReloadPolicy::RequireRefinement)
+                .unwrap();
+            assert_eq!(
+                decision,
+                crate::ReloadDecision::ProvenSafe(draco_bpf::semdiff::Relation::Equivalent)
+            );
+        }
+        assert_eq!(process.profile().name(), installed.name());
+        assert_eq!(process.stats().reloads_permitted, 16);
     }
 
     #[test]

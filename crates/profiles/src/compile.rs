@@ -751,7 +751,9 @@ impl DagStack {
             .map(|(program, dag)| {
                 let side = semdiff::SemSide::filter(program);
                 let nrs = semdiff::interesting_nrs(&side, &side, extra_nrs.iter().copied());
-                semdiff::diff_filter_vs_dag(program, dag, &nrs, cfg)
+                // `diff_filter_vs_dag` with the source side reused, so
+                // its program is scanned once.
+                semdiff::diff_sides(&side, &semdiff::SemSide::dag(program, dag), &nrs, cfg)
             })
             .collect()
     }

@@ -12,10 +12,15 @@
 //! argument whitelist (e.g. produced by an intersection of disjoint
 //! whitelists), or an importer artifact.
 //!
-//! This is the engine behind `dracoctl diff` and the
-//! `RequireRefinement` hot-reload gate in `draco-core`.
+//! [`diff_profiles`] is the engine behind `dracoctl diff`.
+//! [`refinement_gate`] is the `RequireRefinement` hot-reload gate in
+//! `draco-core`: the same compiled stacks and probe set, but only the
+//! admit/refuse answer, and no dead-rule pass.
 
-use draco_bpf::semdiff::{diff_sides, interesting_nrs, DiffConfig, DiffReport, SemSide};
+use draco_bpf::semdiff::{
+    diff_sides, first_unsafe, interesting_nrs, DiffConfig, DiffReport, Relation, SemSide,
+    SyscallDiff,
+};
 use draco_bpf::{BpfError, Verdict};
 use draco_syscalls::SyscallId;
 
@@ -69,6 +74,44 @@ pub fn diff_profiles_with(
     new: &ProfileSpec,
     cfg: &DiffConfig,
 ) -> Result<ProfileDiff, BpfError> {
+    let report = with_sides(old, new, |o, n, nrs| diff_sides(o, n, nrs, cfg))?;
+    Ok(ProfileDiff {
+        old_name: old.name().to_owned(),
+        new_name: new.name().to_owned(),
+        report,
+        dead_old: dead_rules(old)?,
+        dead_new: dead_rules(new)?,
+    })
+}
+
+/// The reload gate: admits `new` in place of `old` exactly when
+/// `diff_profiles(old, new)` calls it a safe swap, without building the
+/// report (see [`first_unsafe`]).
+///
+/// Returns `Ok(relation)` for an admitted candidate, with the relation
+/// the full diff would report, or `Err(diff)` naming the first syscall
+/// that is not a safe swap, with its VM-verified witness when one was
+/// found.
+///
+/// # Errors
+///
+/// Propagates filter-compile failures.
+pub fn refinement_gate(
+    old: &ProfileSpec,
+    new: &ProfileSpec,
+) -> Result<Result<Relation, SyscallDiff>, BpfError> {
+    with_sides(old, new, |o, n, nrs| {
+        first_unsafe(o, n, nrs, &DiffConfig::default())
+    })
+}
+
+/// Compiles both profiles as installed (binary-tree layout) and hands
+/// the two stacks, with the probe set, to `compare`.
+fn with_sides<R>(
+    old: &ProfileSpec,
+    new: &ProfileSpec,
+    compare: impl FnOnce(&SemSide<'_>, &SemSide<'_>, &[u32]) -> R,
+) -> Result<R, BpfError> {
     let old_stack = compile_stacked(old, FilterLayout::BinaryTree)?;
     let new_stack = compile_stacked(new, FilterLayout::BinaryTree)?;
     let old_side = SemSide::stack(old_stack.programs(), old.default_action());
@@ -82,14 +125,7 @@ pub fn diff_profiles_with(
         .map(|(id, _)| u32::from(id.as_u16()))
         .chain([u32::from(u16::MAX)]);
     let nrs = interesting_nrs(&old_side, &new_side, mentioned);
-    let report = diff_sides(&old_side, &new_side, &nrs, cfg);
-    Ok(ProfileDiff {
-        old_name: old.name().to_owned(),
-        new_name: new.name().to_owned(),
-        report,
-        dead_old: dead_rules(old)?,
-        dead_new: dead_rules(new)?,
-    })
+    Ok(compare(&old_side, &new_side, &nrs))
 }
 
 /// Whitelisted syscalls whose combined stack verdict is a constant

@@ -58,7 +58,7 @@ pub use compile::{
     compile, compile_dag, compile_dag_checked, compile_stacked, CompiledStack, DagStack,
     FilterLayout, FilterStack, SelfCheckError, StackOutcome,
 };
-pub use diff::{diff_profiles, diff_profiles_with, ProfileDiff};
+pub use diff::{diff_profiles, diff_profiles_with, refinement_gate, ProfileDiff};
 pub use docker_json::{from_docker_json, import_docker_json, DockerImport, DockerImportError};
 pub use generate::{ProfileGenerator, ProfileKind};
 pub use serde_io::{profile_from_json, profile_to_json, ProfileIoError};

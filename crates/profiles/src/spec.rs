@@ -258,13 +258,21 @@ impl ProfileSpec {
     /// Argument whitelists intersect by joining value sets over the union
     /// of their masks: a joined set exists for each pair of sets that
     /// agree on the overlapping bytes.
+    ///
+    /// The result is named `"{self}+{other}"`, leaving out each
+    /// `+`-separated component of `other`'s name that `self`'s already
+    /// has, so re-attaching the same profile keeps the name unchanged.
     #[must_use]
     pub fn intersect(&self, other: &ProfileSpec) -> ProfileSpec {
         let default = self.default_action.most_restrictive(other.default_action);
-        let mut out = ProfileSpec::new(
-            format!("{}+{}", self.name, other.name),
-            default,
-        );
+        let mut name = self.name.clone();
+        for part in other.name.split('+') {
+            if !self.name.split('+').any(|have| have == part) {
+                name.push('+');
+                name.push_str(part);
+            }
+        }
+        let mut out = ProfileSpec::new(name, default);
         for (id, rule_a) in self.rules() {
             let Some(rule_b) = other.rule(id) else {
                 continue;
@@ -587,6 +595,14 @@ mod tests {
                 assert_eq!(i.evaluate(&r).permits(), both, "nr {nr} v {v}");
             }
         }
+    }
+
+    #[test]
+    fn intersect_names_each_component_once() {
+        let p = |name: &str| ProfileSpec::new(name, SeccompAction::KillProcess);
+        assert_eq!(p("redis").intersect(&p("redis")).name(), "redis");
+        assert_eq!(p("a+b").intersect(&p("b+c")).name(), "a+b+c");
+        assert_eq!(p("a").intersect(&p("b+a")).name(), "a+b");
     }
 
     #[test]

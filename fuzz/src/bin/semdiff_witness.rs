@@ -14,10 +14,14 @@
 //! * under an ordered claim (`Refines`/`Relaxes`), any divergence on
 //!   random inputs goes the claimed direction only (kernel action
 //!   precedence);
+//! * the reload gate (`first_unsafe`) admits exactly when the full
+//!   report is a safe swap, and any refusal witness re-executes
+//!   divergently;
 //! * a program never produces a witness against its own compiled DAG.
 
 use draco_bpf::semdiff::{
-    diff_filter_vs_dag, diff_filters, interesting_nrs, DiffConfig, Relation, SemSide, SideDecision,
+    diff_filter_vs_dag, diff_filters, first_unsafe, interesting_nrs, DiffConfig, Relation, SemSide,
+    SideDecision,
 };
 use draco_bpf::{CompiledDag, Interpreter, Program, SeccompData, AUDIT_ARCH_X86_64};
 use draco_fuzz::{fuzz_target, split_program_bytes, vm_inputs};
@@ -98,6 +102,24 @@ fuzz_target!(|data: &[u8]| {
                 }
                 Relation::Incomparable => {}
             }
+        }
+    }
+
+    // The reload gate gives the full report's safe/unsafe answer, and
+    // its refusal witness is a real divergence.
+    let gate = first_unsafe(&SemSide::filter(&a), &SemSide::filter(&b), &nrs, &cfg);
+    assert_eq!(
+        gate.is_ok(),
+        report.relation.is_safe_swap(),
+        "gate {gate:?} vs report relation {}",
+        report.relation
+    );
+    if let Err(diff) = gate {
+        if let Some(w) = diff.witness {
+            let va = decide(&a, &w.data);
+            let vb = decide(&b, &w.data);
+            assert!(va != vb, "gate witness {:?} does not diverge", w.data);
+            assert_eq!((va, vb), (w.old, w.new), "gate witness drifted");
         }
     }
 
