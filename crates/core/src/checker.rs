@@ -2,148 +2,19 @@
 
 use core::fmt;
 
-use draco_bpf::{SeccompAction, SeccompData};
+use draco_bpf::SeccompAction;
 use draco_cuckoo::{CrcPairHasher, HashPair, Lookup, PairHasher};
 use std::sync::Arc;
 
 use draco_obs::{
-    AuditDecision, AuditEngine, AuditEvent, AuditProvenance, AuditRing, CheckerMetrics,
-    EventRing, FlowClass, FlowEvent, Histogram, MetricsRegistry, SpanTracer, Stage, TraceScope,
+    AuditRing, EventRing, FlowClass, FlowEvent, MetricsRegistry, SpanTracer, Stage, TraceScope,
 };
-use draco_profiles::{
-    analyze_profile, compile_dag, compile_stacked, ArgPolicy, CompiledStack, DagStack,
-    FilterLayout, FilterStack, MaskAgreement, ProfileAnalysis, ProfileSpec, StackOutcome,
-    SyscallRule,
-};
-use draco_syscalls::{
-    ArgBitmask, MaskedBytes, SyscallId, SyscallRequest, SyscallTable, MAX_ARGS,
-};
+use draco_profiles::{ProfileAnalysis, ProfileSpec};
+use draco_syscalls::{ArgBitmask, MaskedBytes, SyscallRequest, SyscallTable, MAX_ARGS};
 
-use crate::{BatchStats, CheckerStats, DracoError, Spt, Vat};
-
-/// What Draco checks (paper §V-A vs §V-B).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CheckMode {
-    /// Check system call IDs only (SPT alone).
-    IdOnly,
-    /// Check IDs and argument set values (SPT + VAT).
-    IdAndArgs,
-}
-
-/// How the fallback Seccomp filter stack is executed.
-#[derive(Debug)]
-pub enum FilterEngine {
-    /// The reference interpreter (kernel with BPF JIT disabled).
-    Interpreted(FilterStack),
-    /// The pre-decoded executor (kernel with BPF JIT enabled).
-    Compiled(CompiledStack),
-    /// The specializing decision DAG (`draco-bpf::dag`): per-syscall
-    /// mask/compare chains with exact VM fallback.
-    Dag(DagStack),
-}
-
-/// Selects a [`FilterEngine`] flavor at construction time
-/// ([`DracoChecker::from_profile_with_engine`] and the spawn variants
-/// on `DracoProcess` / `SharedDracoProcess`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum EngineKind {
-    /// Interpreted cBPF (kernel with BPF JIT disabled).
-    Interpreted,
-    /// Pre-decoded cBPF ops (kernel JIT model).
-    #[default]
-    Compiled,
-    /// Specialized decision DAG.
-    Dag,
-}
-
-impl fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EngineKind::Interpreted => write!(f, "interpreted"),
-            EngineKind::Compiled => write!(f, "compiled"),
-            EngineKind::Dag => write!(f, "dag"),
-        }
-    }
-}
-
-/// Builds the security-audit event for one denying verdict, or `None`
-/// if `action` permits the call (nothing to audit).
-///
-/// The provenance records whether the specialized decision DAG closed
-/// the verdict by itself — a DAG engine that executed zero VM
-/// instructions — or the concrete cBPF VM decided (every other case,
-/// including DAG nodes that fell back). Used by both the per-process
-/// checker and the shared-process miss path so the two paths emit
-/// identical events for identical verdicts.
-pub fn deny_audit_event(
-    source: u16,
-    req: &SyscallRequest,
-    action: SeccompAction,
-    engine: EngineKind,
-    insns_executed: u64,
-) -> Option<AuditEvent> {
-    let decision = match action {
-        SeccompAction::Allow | SeccompAction::Log => return None,
-        SeccompAction::Errno(e) => AuditDecision::Errno(e),
-        SeccompAction::Trap => AuditDecision::Trap,
-        SeccompAction::Trace(d) => AuditDecision::Trace(d),
-        SeccompAction::KillThread => AuditDecision::KillThread,
-        SeccompAction::KillProcess => AuditDecision::KillProcess,
-    };
-    let engine = match engine {
-        EngineKind::Interpreted => AuditEngine::Interpreted,
-        EngineKind::Compiled => AuditEngine::Compiled,
-        EngineKind::Dag => AuditEngine::Dag,
-    };
-    let provenance = if engine == AuditEngine::Dag && insns_executed == 0 {
-        AuditProvenance::DagClosed
-    } else {
-        AuditProvenance::Vm
-    };
-    Some(AuditEvent {
-        source,
-        syscall: req.id.as_u16(),
-        decision,
-        engine,
-        provenance,
-    })
-}
-
-impl FilterEngine {
-    pub(crate) fn run(&self, data: &SeccompData) -> Result<StackOutcome, draco_bpf::BpfError> {
-        match self {
-            FilterEngine::Interpreted(stack) => stack.run(data),
-            FilterEngine::Compiled(stack) => stack.run(data),
-            FilterEngine::Dag(stack) => stack.run(data),
-        }
-    }
-
-    /// The flavor of this engine, preserved across policy swaps.
-    pub const fn kind(&self) -> EngineKind {
-        match self {
-            FilterEngine::Interpreted(_) => EngineKind::Interpreted,
-            FilterEngine::Compiled(_) => EngineKind::Compiled,
-            FilterEngine::Dag(_) => EngineKind::Dag,
-        }
-    }
-
-    /// Builds the engine of the given kind for a profile.
-    pub(crate) fn build(profile: &ProfileSpec, kind: EngineKind) -> Result<Self, DracoError> {
-        Ok(match kind {
-            EngineKind::Interpreted => FilterEngine::Interpreted(
-                compile_stacked(profile, FilterLayout::Linear).map_err(DracoError::FilterCompile)?,
-            ),
-            EngineKind::Compiled => FilterEngine::Compiled(
-                compile_stacked(profile, FilterLayout::Linear)
-                    .map_err(DracoError::FilterCompile)?
-                    .compiled(),
-            ),
-            EngineKind::Dag => {
-                FilterEngine::Dag(compile_dag(profile).map_err(DracoError::FilterCompile)?)
-            }
-        })
-    }
-}
+use crate::policy::Policy;
+use crate::stats::Counters;
+use crate::{BatchStats, CheckerStats, DracoError, EngineKind, Spt, Vat};
 
 /// Which path admitted (or rejected) a check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,6 +53,15 @@ impl CheckResult {
         action: SeccompAction::KillProcess,
         path: CheckPath::FilterRun { insns: 0 },
     };
+
+    /// True if the verdict ends the caller (`KillProcess` or
+    /// `KillThread`).
+    pub(crate) const fn kills(self) -> bool {
+        matches!(
+            self.action,
+            SeccompAction::KillProcess | SeccompAction::KillThread
+        )
+    }
 }
 
 /// The verdict of one batched check — identical in shape and meaning to
@@ -338,75 +218,6 @@ impl BatchScratch {
     }
 }
 
-/// Per-syscall facts proved by the filter analyzer
-/// ([`draco_profiles::analyze_profile`]), reshaped for O(1) hot-path
-/// consultation: both vectors are indexed by raw syscall number.
-///
-/// Soundness: the plan only ever *narrows* what gets cached. A syscall
-/// marked always-allow was proved (by abstract interpretation, checked
-/// against the concrete VM) to take the Allow return for **every**
-/// argument vector, so caching it with an empty bitmask replays a
-/// verdict the filter is guaranteed to reach. A derived mask is
-/// installed only when it matches or is a subset of the authored mask,
-/// and covers — by the analyzer's taint proof — every argument byte the
-/// filter's decision can depend on.
-#[derive(Debug)]
-pub(crate) struct AnalysisPlan {
-    /// Syscalls proven `Allow` for every argument vector. Hits need
-    /// neither CRC hashing nor a VAT probe.
-    always_allow: Vec<bool>,
-    /// Effective argument bitmask per syscall: analyzer-derived unless
-    /// it disagreed with the authored mask (authored wins then).
-    masks: Vec<Option<ArgBitmask>>,
-    /// Whitelist rules whose derived mask matched or narrowed the
-    /// authored one.
-    pub(crate) derived_match: u64,
-    /// Whitelist rules where the authored mask overrode a disagreeing
-    /// derived mask.
-    pub(crate) overridden: u64,
-}
-
-impl AnalysisPlan {
-    pub(crate) fn from_analysis(analysis: &ProfileAnalysis, capacity: usize) -> Self {
-        let mut plan = AnalysisPlan {
-            always_allow: vec![false; capacity],
-            masks: vec![None; capacity],
-            derived_match: 0,
-            overridden: 0,
-        };
-        for report in analysis.syscalls() {
-            let idx = report.sid.as_u16() as usize;
-            if idx >= capacity {
-                continue;
-            }
-            if report.is_always_allow() {
-                plan.always_allow[idx] = true;
-            }
-            plan.masks[idx] = Some(report.effective_mask());
-            if report.authored_mask.is_some() {
-                match report.agreement {
-                    MaskAgreement::Match | MaskAgreement::DerivedNarrower => {
-                        plan.derived_match += 1;
-                    }
-                    MaskAgreement::Disagreement => plan.overridden += 1,
-                }
-            }
-        }
-        plan
-    }
-
-    pub(crate) fn always_allows(&self, id: SyscallId) -> bool {
-        self.always_allow
-            .get(id.as_u16() as usize)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    pub(crate) fn mask(&self, id: SyscallId) -> Option<ArgBitmask> {
-        self.masks.get(id.as_u16() as usize).copied().flatten()
-    }
-}
-
 /// Software Draco: SPT + VAT in front of a Seccomp filter.
 ///
 /// The checker is sound because caching only ever stores *positive*
@@ -417,15 +228,10 @@ impl AnalysisPlan {
 pub struct DracoChecker {
     spt: Spt,
     vat: Vat,
-    profile: ProfileSpec,
-    filter: FilterEngine,
-    mode: CheckMode,
-    stats: CheckerStats,
-    /// cBPF instructions per fallback run.
-    insns_per_filter_run: Histogram,
-    /// Filter instructions a cached hit avoided (the running mean of
-    /// fallback cost, recorded at hit time).
-    saved_insns_per_hit: Histogram,
+    /// The installed profile, miss-path engine and analysis plan. A
+    /// fork shares it; `install_additional` replaces it.
+    policy: Arc<Policy>,
+    counters: Counters,
     /// Optional bounded trace of recent flow classifications. `None`
     /// (the default) costs one branch per check; enabling pre-allocates
     /// the whole ring, so recording stays allocation-free.
@@ -442,14 +248,6 @@ pub struct DracoChecker {
     /// consult it. Offering into the ring is lock-free and
     /// allocation-free, so the stream is hot-path safe.
     audit: Option<(Arc<AuditRing>, u16)>,
-    /// Optional statically-proved facts about the installed filter.
-    /// `None` (the default) costs one branch per SPT hit.
-    analysis: Option<AnalysisPlan>,
-    /// Batched-path counters (separate from `stats`, which a batch must
-    /// advance exactly as the equivalent scalar loop would).
-    batch: BatchStats,
-    /// Distribution of batch sizes submitted to `check_batch`.
-    batch_size: Histogram,
     /// Internal staging buffers for `check_batch` (callers wanting
     /// explicit buffer control use `check_batch_with`).
     batch_scratch: BatchScratch,
@@ -457,8 +255,9 @@ pub struct DracoChecker {
 
 impl DracoChecker {
     /// Builds a checker for a profile, compiling the fallback filter in
-    /// the linear layout with the pre-decoded (JIT-model) executor, and
-    /// checking arguments iff the profile does.
+    /// the linear layout with the pre-decoded (JIT-model) executor.
+    /// Arguments are checked iff the profile has argument rules: only a
+    /// whitelist rule ever gets a VAT table.
     ///
     /// # Errors
     ///
@@ -467,19 +266,8 @@ impl DracoChecker {
         Self::from_profile_with_engine(profile, EngineKind::Compiled)
     }
 
-    /// Builds a checker like [`DracoChecker::from_profile`], but with the
-    /// miss path running on the specialized decision DAG
-    /// ([`draco_bpf::CompiledDag`] per filter) instead of the cBPF
-    /// executor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DracoError::FilterCompile`] if filter compilation fails.
-    pub fn from_profile_dag(profile: &ProfileSpec) -> Result<Self, DracoError> {
-        Self::from_profile_with_engine(profile, EngineKind::Dag)
-    }
-
-    /// Builds a checker for a profile with an explicit miss-path engine.
+    /// Builds a checker for a profile with an explicit miss-path engine
+    /// (e.g. [`EngineKind::Dag`] for the specialized decision DAG).
     ///
     /// # Errors
     ///
@@ -488,75 +276,45 @@ impl DracoChecker {
         profile: &ProfileSpec,
         kind: EngineKind,
     ) -> Result<Self, DracoError> {
-        let mode = if profile.checks_arguments() {
-            CheckMode::IdAndArgs
-        } else {
-            CheckMode::IdOnly
-        };
-        let engine = FilterEngine::build(profile, kind)?;
-        Ok(Self::new(profile.clone(), engine, mode))
+        let policy = Policy::build(profile.clone(), kind)?;
+        Ok(Self::with_policy(Arc::new(policy)))
     }
 
-    /// Builds a checker with explicit filter engine and mode.
-    pub fn new(profile: ProfileSpec, filter: FilterEngine, mode: CheckMode) -> Self {
+    /// A checker with cold tables enforcing `policy`.
+    fn with_policy(policy: Arc<Policy>) -> Self {
         let capacity = SyscallTable::shared().capacity();
         DracoChecker {
             spt: Spt::new(capacity),
             vat: Vat::new(),
-            profile,
-            filter,
-            mode,
-            stats: CheckerStats::default(),
-            insns_per_filter_run: Histogram::default(),
-            saved_insns_per_hit: Histogram::default(),
+            policy,
+            counters: Counters::default(),
             flow_trace: None,
             span_trace: None,
             check_seq: 0,
             audit: None,
-            analysis: None,
-            batch: BatchStats::default(),
-            batch_size: Histogram::default(),
             batch_scratch: BatchScratch::default(),
         }
     }
 
-    /// Builds a checker like [`DracoChecker::from_profile`], then runs
-    /// the filter analyzer over the compiled stack and installs the
-    /// resulting plan: syscalls proven always-allowed are cached with an
-    /// empty bitmask (pure SPT hits, no CRC/VAT work), and whitelisted
-    /// syscalls cache under the analyzer-derived argument mask.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DracoError::FilterCompile`] if filter compilation fails.
-    pub fn from_profile_analyzed(profile: &ProfileSpec) -> Result<Self, DracoError> {
-        Self::from_profile_analyzed_with_engine(profile, EngineKind::Compiled)
-    }
-
-    /// Like [`DracoChecker::from_profile_analyzed`] with an explicit
-    /// miss-path engine.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DracoError::FilterCompile`] if filter compilation fails.
-    pub fn from_profile_analyzed_with_engine(
-        profile: &ProfileSpec,
-        kind: EngineKind,
-    ) -> Result<Self, DracoError> {
-        let mut checker = Self::from_profile_with_engine(profile, kind)?;
-        let analysis = analyze_profile(profile).map_err(DracoError::FilterCompile)?;
-        checker.install_analysis(&analysis);
-        Ok(checker)
+    /// A checker for a forked child: the parent's policy (profile,
+    /// engine and analysis plan, shared — nothing is recompiled) over
+    /// cold tables, with no preload and none of the parent's counters
+    /// or observability attachments.
+    pub(crate) fn fork(&self) -> Self {
+        Self::with_policy(Arc::clone(&self.policy))
     }
 
     /// The flavor of the miss-path filter engine.
-    pub const fn engine_kind(&self) -> EngineKind {
-        self.filter.kind()
+    pub fn engine_kind(&self) -> EngineKind {
+        self.policy.filter.kind()
     }
 
     /// Installs a precomputed analysis plan (e.g. one shared across
-    /// processes running the same profile). The analysis **must** come
-    /// from [`draco_profiles::analyze_profile`] /
+    /// processes running the same profile): syscalls proven
+    /// always-allowed are cached with an empty bitmask (pure SPT hits,
+    /// no CRC/VAT work), and whitelisted syscalls cache under the
+    /// analyzer-derived argument mask. The analysis **must** come from
+    /// [`draco_profiles::analyze_profile`] /
     /// [`draco_profiles::analyze_stack`] over this checker's profile —
     /// enforced by name here. Cached state is flushed so every resident
     /// entry was keyed consistently with the plan's masks.
@@ -565,19 +323,22 @@ impl DracoChecker {
     ///
     /// Panics if the analysis was computed for a different profile.
     pub fn install_analysis(&mut self, analysis: &ProfileAnalysis) {
-        assert_eq!(
-            analysis.name(),
-            self.profile.name(),
-            "analysis plan must match the installed profile"
-        );
-        let capacity = SyscallTable::shared().capacity();
-        self.analysis = Some(AnalysisPlan::from_analysis(analysis, capacity));
+        if let Some(policy) = Arc::get_mut(&mut self.policy) {
+            policy.install_analysis(analysis);
+        } else {
+            // A forked checker shares its parent's policy: give it a
+            // private copy rather than change the parent's.
+            let mut policy = Policy::build(self.policy.profile.clone(), self.engine_kind())
+                .expect("the installed profile compiled once");
+            policy.install_analysis(analysis);
+            self.policy = Arc::new(policy);
+        }
         self.flush();
     }
 
     /// Whether an analysis plan is installed.
-    pub const fn has_analysis(&self) -> bool {
-        self.analysis.is_some()
+    pub fn has_analysis(&self) -> bool {
+        self.policy.plan.is_some()
     }
 
     /// Caps every VAT table at `cap` entries (builder-style): an OS
@@ -589,24 +350,19 @@ impl DracoChecker {
         self
     }
 
-    /// The checking mode.
-    pub const fn mode(&self) -> CheckMode {
-        self.mode
-    }
-
     /// The profile being enforced.
     pub fn profile(&self) -> &ProfileSpec {
-        &self.profile
+        &self.policy.profile
     }
 
     /// Accumulated counters.
     pub const fn stats(&self) -> CheckerStats {
-        self.stats
+        self.counters.stats
     }
 
     /// Accumulated batched-path counters.
     pub const fn batch_stats(&self) -> BatchStats {
-        self.batch
+        self.counters.batch
     }
 
     /// This checker's observability snapshot: the `checker` section from
@@ -615,29 +371,7 @@ impl DracoChecker {
     /// zeroed — they belong to other layers.)
     pub fn metrics(&self) -> MetricsRegistry {
         MetricsRegistry {
-            checker: CheckerMetrics {
-                spt_hits: self.stats.spt_hits,
-                always_allow_hits: self.stats.always_allow_hits,
-                vat_hits: self.stats.vat_hits,
-                filter_runs: self.stats.filter_runs,
-                filter_insns: self.stats.filter_insns,
-                denials: self.stats.denials,
-                vat_inserts: self.stats.vat_inserts,
-                seqlock_retries: self.stats.seqlock_retries,
-                vat_lock_waits: self.stats.vat_lock_waits,
-                insert_races_lost: self.stats.insert_races_lost,
-                masks_derived_match: self.analysis.as_ref().map_or(0, |p| p.derived_match),
-                masks_overridden: self.analysis.as_ref().map_or(0, |p| p.overridden),
-                batches: self.batch.batches,
-                batched_checks: self.batch.batched_checks,
-                prefetch_issued: self.batch.prefetch_issued,
-                miss_dedup_hits: self.batch.miss_dedup_hits,
-                reloads_permitted: self.stats.reloads_permitted,
-                reloads_refused: self.stats.reloads_refused,
-                batch_size: self.batch_size,
-                insns_per_filter_run: self.insns_per_filter_run,
-                saved_insns_per_hit: self.saved_insns_per_hit,
-            },
+            checker: self.counters.metrics(self.policy.plan.as_ref()),
             cuckoo: self.vat.cuckoo_metrics(),
             vat: self.vat.metrics(),
             ..MetricsRegistry::default()
@@ -711,13 +445,6 @@ impl DracoChecker {
         self.span_trace.as_deref()
     }
 
-    /// Mean fallback cost observed so far, in cBPF instructions — what a
-    /// cached hit is credited with saving. Integer division keeps the
-    /// hot path float-free; 0 until the first filter run.
-    fn mean_filter_cost(&self) -> u64 {
-        self.stats.filter_insns / self.stats.filter_runs.max(1)
-    }
-
     /// Records a flow classification into the trace ring (if enabled).
     fn trace_flow(&mut self, req: &SyscallRequest, class: FlowClass) {
         if let Some(ring) = self.flow_trace.as_mut() {
@@ -743,45 +470,15 @@ impl DracoChecker {
     /// OS could do at filter-install time. With warm tables, the first
     /// encounter of each ID-only syscall is already a hit.
     pub fn preload_spt(&mut self) {
-        let rules: Vec<_> = self
-            .profile
-            .rules()
-            .map(|(id, rule)| (id, rule.clone()))
-            .collect();
-        for (id, rule) in rules {
-            match self.cache_plan(id, &rule) {
+        let policy = &*self.policy;
+        for (id, rule) in policy.profile.rules() {
+            match policy.cache_plan(id, rule) {
                 (mask, Some(sets)) => {
                     let idx = self.vat.ensure_table(id, sets);
                     self.spt.set_valid(id, mask, Some(idx));
                 }
                 (mask, None) => self.spt.set_valid(id, mask, None),
             }
-        }
-    }
-
-    /// How a validated syscall gets cached: the bitmask to store in the
-    /// SPT and, for argument-checked syscalls, the VAT table size.
-    ///
-    /// Without an analysis plan this is exactly the authored rule. With
-    /// one, a proven always-allow syscall caches as ID-only (empty mask,
-    /// no VAT) even under a whitelist rule, and whitelisted syscalls key
-    /// their VAT entries on the analyzer's effective mask.
-    fn cache_plan(&self, id: SyscallId, rule: &SyscallRule) -> (ArgBitmask, Option<usize>) {
-        if let Some(plan) = &self.analysis {
-            if plan.always_allows(id) {
-                return (ArgBitmask::EMPTY, None);
-            }
-        }
-        match (&rule.args, self.mode) {
-            (ArgPolicy::Whitelist { mask, sets }, CheckMode::IdAndArgs) => {
-                let mask = self
-                    .analysis
-                    .as_ref()
-                    .and_then(|plan| plan.mask(id))
-                    .unwrap_or(*mask);
-                (mask, Some(sets.len()))
-            }
-            _ => (ArgBitmask::EMPTY, None),
         }
     }
 
@@ -878,10 +575,8 @@ impl DracoChecker {
         if reqs.is_empty() {
             return 0;
         }
-        self.batch.batches += 1;
-        self.batch.batched_checks += reqs.len() as u64;
-        self.batch_size.record(reqs.len() as u64);
-        let before = self.stats;
+        self.counters.record_batch(reqs.len());
+        let before = self.counters.stats;
         scratch.reset();
 
         // One trace scope spans the whole batch (sequenced like the
@@ -926,18 +621,15 @@ impl DracoChecker {
                         epoch,
                         ..IdSlot::default()
                     },
-                    Some(entry) => match (self.mode, entry.vat_index) {
-                        (CheckMode::IdOnly, _) | (CheckMode::IdAndArgs, None) => IdSlot {
+                    Some(entry) => match entry.vat_index {
+                        None => IdSlot {
                             epoch,
                             class: BatchClass::SptExit {
-                                always_allow: self
-                                    .analysis
-                                    .as_ref()
-                                    .is_some_and(|plan| plan.always_allows(req.id)),
+                                always_allow: self.policy.always_allows(req.id),
                             },
                             ..IdSlot::default()
                         },
-                        (CheckMode::IdAndArgs, Some(idx)) => IdSlot {
+                        Some(idx) => IdSlot {
                             epoch,
                             class: BatchClass::Candidate,
                             idx,
@@ -1027,7 +719,7 @@ impl DracoChecker {
         let t = scope.stage_begin();
         for (&idx, &pair) in scratch.cand.iter().zip(scratch.pairs.iter()) {
             if self.vat.prefetch(idx, pair) {
-                self.batch.prefetch_issued += 2;
+                self.counters.batch.prefetch_issued += 2;
             }
         }
         scope.stage_end(Stage::BatchPrefetch, t);
@@ -1071,11 +763,12 @@ impl DracoChecker {
 
         // Classify the whole batch by its most severe flow (delta over
         // the stats captured at entry).
-        let class = if self.stats.denials != before.denials {
+        let stats = &self.counters.stats;
+        let class = if stats.denials != before.denials {
             FlowClass::FilterDeny
-        } else if self.stats.filter_runs != before.filter_runs {
+        } else if stats.filter_runs != before.filter_runs {
             FlowClass::FilterAllow
-        } else if self.stats.vat_hits != before.vat_hits {
+        } else if stats.vat_hits != before.vat_hits {
             FlowClass::VatHit
         } else {
             FlowClass::SptHit
@@ -1104,12 +797,15 @@ impl DracoChecker {
         n_aa: u64,
     ) {
         self.check_seq = self.check_seq.saturating_add(reqs.len() as u64);
-        self.stats.spt_hits += n_spt;
-        self.stats.always_allow_hits += n_aa;
+        let counters = &mut self.counters;
+        counters.stats.spt_hits += n_spt;
+        counters.stats.always_allow_hits += n_aa;
         let cand_requests = scratch.slot.len() as u64;
-        self.stats.vat_hits += cand_requests;
-        let mean = self.mean_filter_cost();
-        self.saved_insns_per_hit.record_n(mean, n_spt + cand_requests);
+        counters.stats.vat_hits += cand_requests;
+        let mean = counters.mean_filter_cost();
+        counters
+            .saved_insns_per_hit
+            .record_n(mean, n_spt + cand_requests);
         for ((&idx, probe), &n) in scratch
             .cand
             .iter()
@@ -1165,16 +861,14 @@ impl DracoChecker {
         // so the mean a hit records is loop-invariant: hoist it and
         // refresh only after a path that may run the filter. Each hit
         // still records exactly the value the scalar loop would.
-        let mut mean = self.mean_filter_cost();
+        let mut mean = self.counters.mean_filter_cost();
         for (i, req) in reqs.iter().enumerate() {
             self.check_seq = self.check_seq.saturating_add(1);
             let result = match scratch.class[i] {
                 BatchClass::SptExit { always_allow } => {
-                    self.stats.spt_hits += 1;
-                    if always_allow {
-                        self.stats.always_allow_hits += 1;
-                    }
-                    self.saved_insns_per_hit.record(mean);
+                    self.counters.stats.spt_hits += 1;
+                    self.counters.stats.always_allow_hits += u64::from(always_allow);
+                    self.counters.saved_insns_per_hit.record(mean);
                     self.trace_flow(req, FlowClass::SptHit);
                     CheckResult {
                         action: SeccompAction::Allow,
@@ -1193,46 +887,41 @@ impl DracoChecker {
                             scratch.pairs[slot],
                         );
                         if found.is_none() && fresh.is_some() {
-                            self.batch.miss_dedup_hits += 1;
+                            self.counters.batch.miss_dedup_hits += 1;
                         }
                         found = fresh;
                     }
                     self.vat.count_lookup(idx, found);
                     if found.is_some() {
-                        self.stats.vat_hits += 1;
-                        self.saved_insns_per_hit.record(mean);
+                        self.counters.stats.vat_hits += 1;
+                        self.counters.saved_insns_per_hit.record(mean);
                         self.trace_flow(req, FlowClass::VatHit);
                         CheckResult {
                             action: SeccompAction::Allow,
                             path: CheckPath::VatHit,
                         }
                     } else {
-                        let inserts = self.stats.vat_inserts;
+                        let inserts = self.counters.stats.vat_inserts;
                         let result = self.run_filter_and_update(req, &mut TraceScope::inactive());
-                        stale |= self.stats.vat_inserts != inserts;
-                        mean = self.mean_filter_cost();
+                        stale |= self.counters.stats.vat_inserts != inserts;
+                        mean = self.counters.mean_filter_cost();
                         result
                     }
                 }
                 BatchClass::Cold => {
-                    let cached = self.stats.spt_hits + self.stats.vat_hits;
-                    let inserts = self.stats.vat_inserts;
+                    let cached = self.counters.stats.spt_hits + self.counters.stats.vat_hits;
+                    let inserts = self.counters.stats.vat_inserts;
                     let result = self.check_staged(req, &mut TraceScope::inactive());
-                    if self.stats.spt_hits + self.stats.vat_hits != cached {
-                        self.batch.miss_dedup_hits += 1;
+                    if self.counters.stats.spt_hits + self.counters.stats.vat_hits != cached {
+                        self.counters.batch.miss_dedup_hits += 1;
                     }
-                    stale |= self.stats.vat_inserts != inserts;
-                    mean = self.mean_filter_cost();
+                    stale |= self.counters.stats.vat_inserts != inserts;
+                    mean = self.counters.mean_filter_cost();
                     result
                 }
             };
             out[i] = result;
-            if stop_on_kill
-                && matches!(
-                    result.action,
-                    SeccompAction::KillProcess | SeccompAction::KillThread
-                )
-            {
+            if stop_on_kill && result.kills() {
                 committed = i + 1;
                 break;
             }
@@ -1246,16 +935,10 @@ impl DracoChecker {
         let entry = self.spt.get(req.id);
         scope.stage_end(Stage::SptLookup, t);
         if let Some(entry) = entry {
-            match (self.mode, entry.vat_index) {
-                // ID-only checking, or this syscall needs no arg checks.
-                (CheckMode::IdOnly, _) | (CheckMode::IdAndArgs, None) => {
-                    self.stats.spt_hits += 1;
-                    if let Some(plan) = &self.analysis {
-                        if plan.always_allows(req.id) {
-                            self.stats.always_allow_hits += 1;
-                        }
-                    }
-                    self.saved_insns_per_hit.record(self.mean_filter_cost());
+            match entry.vat_index {
+                // This syscall needs no argument checks.
+                None => {
+                    self.counters.spt_hit(self.policy.always_allows(req.id));
                     self.trace_flow(req, FlowClass::SptHit);
                     scope.finish(FlowClass::SptHit);
                     return CheckResult {
@@ -1266,16 +949,14 @@ impl DracoChecker {
                 // 2. VAT probe. The sampled path decomposes the lookup
                 // into its hash/per-way stages; both paths produce
                 // identical results and counters.
-                (CheckMode::IdAndArgs, Some(idx)) => {
+                Some(idx) => {
                     let hit = if scope.is_active() {
-                        self.vat
-                            .lookup_traced(idx, entry.bitmask, &req.args, scope)
+                        self.vat.lookup_traced(idx, entry.bitmask, &req.args, scope)
                     } else {
                         self.vat.lookup(idx, entry.bitmask, &req.args)
                     };
                     if hit.is_some() {
-                        self.stats.vat_hits += 1;
-                        self.saved_insns_per_hit.record(self.mean_filter_cost());
+                        self.counters.vat_hit();
                         self.trace_flow(req, FlowClass::VatHit);
                         scope.finish(FlowClass::VatHit);
                         return CheckResult {
@@ -1295,62 +976,39 @@ impl DracoChecker {
         req: &SyscallRequest,
         scope: &mut TraceScope<'_>,
     ) -> CheckResult {
-        let data = SeccompData::from_request(req);
-        let t = scope.stage_begin();
-        let outcome = self
-            .filter
-            .run(&data)
-            .expect("profile-generated filters cannot fault");
-        scope.stage_end(Stage::FilterExec, t);
-        self.stats.filter_runs += 1;
-        self.stats.filter_insns += outcome.insns_executed;
-        self.insns_per_filter_run.record(outcome.insns_executed);
-        if outcome.action.permits() {
+        let audit = self.audit.as_ref().map(|(ring, source)| (&**ring, *source));
+        let result = self
+            .policy
+            .run_filter(req, &mut self.counters, audit, scope);
+        let class = if result.action.permits() {
             let t = scope.stage_begin();
             self.record_validation(req);
             scope.stage_end(Stage::VatInsert, t);
-            self.trace_flow(req, FlowClass::FilterAllow);
-            scope.finish(FlowClass::FilterAllow);
+            FlowClass::FilterAllow
         } else {
-            self.stats.denials += 1;
-            if let Some((ring, source)) = &self.audit {
-                if let Some(event) = deny_audit_event(
-                    *source,
-                    req,
-                    outcome.action,
-                    self.filter.kind(),
-                    outcome.insns_executed,
-                ) {
-                    ring.offer(event);
-                }
-            }
-            self.trace_flow(req, FlowClass::FilterDeny);
-            scope.finish(FlowClass::FilterDeny);
-        }
-        CheckResult {
-            action: outcome.action,
-            path: CheckPath::FilterRun {
-                insns: outcome.insns_executed,
-            },
-        }
+            FlowClass::FilterDeny
+        };
+        self.trace_flow(req, class);
+        scope.finish(class);
+        result
     }
 
     /// Updates SPT/VAT after a successful filter run ("Update Table" in
     /// paper Fig. 4).
     fn record_validation(&mut self, req: &SyscallRequest) {
-        let rule = match self.profile.rule(req.id) {
-            Some(rule) => rule.clone(),
-            // The filter allowed a syscall the profile has no rule for
-            // (cannot happen with generated filters; defensive for custom
-            // engines): do not cache.
-            None => return,
+        let policy = &*self.policy;
+        // The filter allowed a syscall the profile has no rule for
+        // (cannot happen with generated filters; defensive for custom
+        // engines): do not cache.
+        let Some(rule) = policy.profile.rule(req.id) else {
+            return;
         };
-        match self.cache_plan(req.id, &rule) {
+        match policy.cache_plan(req.id, rule) {
             (mask, Some(sets)) => {
                 let idx = self.vat.ensure_table(req.id, sets);
                 self.spt.set_valid(req.id, mask, Some(idx));
                 self.vat.insert(idx, mask, &req.args);
-                self.stats.vat_inserts += 1;
+                self.counters.stats.vat_inserts += 1;
             }
             (mask, None) => self.spt.set_valid(req.id, mask, None),
         }
@@ -1374,24 +1032,7 @@ impl DracoChecker {
     /// Returns [`DracoError::FilterCompile`] if the combined filter fails
     /// to compile.
     pub fn install_additional(&mut self, extra: &ProfileSpec) -> Result<(), DracoError> {
-        let combined = self.profile.intersect(extra);
-        // Rebuild with the same engine flavor this checker was created
-        // with: a DAG-backed checker stays DAG-backed across policy swaps.
-        self.filter = FilterEngine::build(&combined, self.filter.kind())?;
-        self.mode = if combined.checks_arguments() {
-            CheckMode::IdAndArgs
-        } else {
-            CheckMode::IdOnly
-        };
-        self.profile = combined;
-        // The old analysis plan proved facts about the *previous* filter;
-        // re-derive it for the intersection before any check consults it.
-        if self.analysis.take().is_some() {
-            let analysis =
-                analyze_profile(&self.profile).map_err(DracoError::FilterCompile)?;
-            let capacity = SyscallTable::shared().capacity();
-            self.analysis = Some(AnalysisPlan::from_analysis(&analysis, capacity));
-        }
+        self.policy = Arc::new(self.policy.intersect(extra)?);
         self.flush();
         Ok(())
     }
@@ -1402,8 +1043,8 @@ impl fmt::Display for DracoChecker {
         write!(
             f,
             "DracoChecker[{}] {}",
-            self.profile.name(),
-            self.stats
+            self.policy.profile.name(),
+            self.counters.stats
         )
     }
 }
@@ -1411,11 +1052,21 @@ impl fmt::Display for DracoChecker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use draco_profiles::{docker_default, ProfileGenerator, ProfileKind};
+    use draco_obs::{AuditEngine, AuditProvenance};
+    use draco_profiles::{
+        analyze_profile, docker_default, ArgPolicy, ProfileGenerator, ProfileKind,
+    };
     use draco_syscalls::{ArgSet, SyscallId};
 
     fn req(nr: u16, args: &[u64]) -> SyscallRequest {
         SyscallRequest::new(0x1000, SyscallId::new(nr), ArgSet::from_slice(args))
+    }
+
+    /// A checker with the profile's analysis plan installed.
+    fn analyzed(profile: &ProfileSpec, kind: EngineKind) -> DracoChecker {
+        let mut checker = DracoChecker::from_profile_with_engine(profile, kind).unwrap();
+        checker.install_analysis(&analyze_profile(profile).unwrap());
+        checker
     }
 
     #[test]
@@ -1424,7 +1075,6 @@ mod tests {
         gen.observe(&req(39, &[]));
         let profile = gen.emit(ProfileKind::SyscallNoargs);
         let mut checker = DracoChecker::from_profile(&profile).unwrap();
-        assert_eq!(checker.mode(), CheckMode::IdOnly);
 
         let r1 = checker.check(&req(39, &[]));
         assert!(matches!(r1.path, CheckPath::FilterRun { .. }));
@@ -1433,6 +1083,7 @@ mod tests {
         assert_eq!(r2.path, CheckPath::SptHit);
         assert_eq!(checker.stats().spt_hits, 1);
         assert_eq!(checker.stats().filter_runs, 1);
+        assert_eq!(checker.metrics().vat.tables, 0, "no argument rule, no VAT");
     }
 
     #[test]
@@ -1442,7 +1093,6 @@ mod tests {
         gen.observe(&req(0, &[4, 0xbbbb, 128]));
         let profile = gen.emit(ProfileKind::SyscallComplete);
         let mut checker = DracoChecker::from_profile(&profile).unwrap();
-        assert_eq!(checker.mode(), CheckMode::IdAndArgs);
 
         // First encounters run the filter.
         assert!(!checker.check(&req(0, &[3, 1, 64])).path.is_cache_hit());
@@ -1540,8 +1190,7 @@ mod tests {
         let mut gen = ProfileGenerator::new("app");
         gen.observe(&req(39, &[]));
         let profile = gen.emit(ProfileKind::SyscallNoargs);
-        let mut checker =
-            DracoChecker::from_profile_analyzed_with_engine(&profile, EngineKind::Dag).unwrap();
+        let mut checker = analyzed(&profile, EngineKind::Dag);
         let ring = Arc::new(AuditRing::with_capacity(8));
         checker.enable_audit(Arc::clone(&ring), 2);
 
@@ -1607,18 +1256,9 @@ mod tests {
     #[test]
     fn interpreted_engine_costs_more_same_verdict() {
         let profile = docker_default();
-        let stack = compile_stacked(&profile, FilterLayout::Linear).unwrap();
-        let compiled_stack = stack.compiled();
-        let mut interp = DracoChecker::new(
-            profile.clone(),
-            FilterEngine::Interpreted(stack),
-            CheckMode::IdAndArgs,
-        );
-        let mut compiled = DracoChecker::new(
-            profile,
-            FilterEngine::Compiled(compiled_stack),
-            CheckMode::IdAndArgs,
-        );
+        let mut interp =
+            DracoChecker::from_profile_with_engine(&profile, EngineKind::Interpreted).unwrap();
+        let mut compiled = DracoChecker::from_profile(&profile).unwrap();
         let r = req(231, &[0]);
         let a = interp.check(&r);
         let b = compiled.check(&r);
@@ -1686,7 +1326,8 @@ mod tests {
             draco_profiles::gvisor_default(),
             draco_profiles::firecracker(),
         ] {
-            let mut dag = DracoChecker::from_profile_dag(&profile).unwrap();
+            let mut dag =
+                DracoChecker::from_profile_with_engine(&profile, EngineKind::Dag).unwrap();
             let mut compiled = DracoChecker::from_profile(&profile).unwrap();
             assert_eq!(dag.engine_kind(), EngineKind::Dag);
             assert_eq!(compiled.engine_kind(), EngineKind::Compiled);
@@ -1717,7 +1358,7 @@ mod tests {
     #[test]
     fn dag_engine_batch_matches_scalar_compiled() {
         let profile = draco_profiles::gvisor_default();
-        let mut dag = DracoChecker::from_profile_dag(&profile).unwrap();
+        let mut dag = DracoChecker::from_profile_with_engine(&profile, EngineKind::Dag).unwrap();
         let mut compiled = DracoChecker::from_profile(&profile).unwrap();
         let reqs: Vec<SyscallRequest> = (0u16..256)
             .flat_map(|nr| {
@@ -1739,7 +1380,7 @@ mod tests {
         gen.observe(&req(0, &[3, 0, 64]));
         gen.observe(&req(1, &[4, 0, 64]));
         let base = gen.emit(ProfileKind::SyscallNoargs);
-        let mut checker = DracoChecker::from_profile_dag(&base).unwrap();
+        let mut checker = DracoChecker::from_profile_with_engine(&base, EngineKind::Dag).unwrap();
 
         let mut gen2 = ProfileGenerator::new("tighter");
         gen2.observe(&req(0, &[3, 0, 64]));
@@ -1893,7 +1534,7 @@ mod tests {
     fn analyzed_checker_agrees_with_plain_and_oracle() {
         let profile = docker_default();
         let mut plain = DracoChecker::from_profile(&profile).unwrap();
-        let mut analyzed = DracoChecker::from_profile_analyzed(&profile).unwrap();
+        let mut analyzed = analyzed(&profile, EngineKind::Compiled);
         plain.preload_spt();
         analyzed.preload_spt();
         let reqs = [
@@ -1916,7 +1557,7 @@ mod tests {
     #[test]
     fn analysis_plan_counts_always_allow_hits_and_mask_agreement() {
         let profile = docker_default();
-        let mut checker = DracoChecker::from_profile_analyzed(&profile).unwrap();
+        let mut checker = analyzed(&profile, EngineKind::Compiled);
         assert!(checker.has_analysis());
         checker.preload_spt();
         checker.check(&req(0, &[3, 0, 100])); // read: proven always-allow
@@ -1965,7 +1606,7 @@ mod tests {
                 source: RuleSource::Runtime,
             },
         );
-        let mut analyzed = DracoChecker::from_profile_analyzed(&profile).unwrap();
+        let mut analyzed = analyzed(&profile, EngineKind::Compiled);
         analyzed.preload_spt();
         let r = analyzed.check(&req(0, &[123, 9, 9]));
         assert_eq!(r.path, CheckPath::SptHit, "no filter, no VAT probe");
@@ -1986,7 +1627,7 @@ mod tests {
 
     #[test]
     fn install_additional_rederives_the_analysis_plan() {
-        let mut checker = DracoChecker::from_profile_analyzed(&docker_default()).unwrap();
+        let mut checker = analyzed(&docker_default(), EngineKind::Compiled);
         let mut gen = ProfileGenerator::new("tighter");
         gen.observe(&req(0, &[3, 0, 64]));
         let extra = gen.emit(ProfileKind::SyscallNoargs);
@@ -2005,8 +1646,7 @@ mod tests {
     #[should_panic(expected = "analysis plan must match")]
     fn installing_a_foreign_analysis_is_rejected() {
         let mut checker = DracoChecker::from_profile(&docker_default()).unwrap();
-        let analysis =
-            draco_profiles::analyze_profile(&draco_profiles::gvisor_default()).unwrap();
+        let analysis = analyze_profile(&draco_profiles::gvisor_default()).unwrap();
         checker.install_analysis(&analysis);
     }
 

@@ -49,6 +49,7 @@
 mod checker;
 mod error;
 mod os;
+mod policy;
 mod process;
 mod sentry;
 mod shared;
@@ -56,17 +57,13 @@ mod spt;
 mod stats;
 mod vat;
 
-pub use checker::{
-    deny_audit_event, BatchScratch, CheckMode, CheckPath, CheckResult, Decision, DracoChecker,
-    EngineKind, FilterEngine,
-};
+pub use checker::{BatchScratch, CheckPath, CheckResult, Decision, DracoChecker};
 pub use error::DracoError;
 pub use os::{DracoOs, OsError};
+pub use policy::{deny_audit_event, EngineKind};
 pub use process::{DracoProcess, ProcessId};
 pub use sentry::{SentryOutcome, SentryPipeline};
-pub use shared::{
-    ReloadDecision, ReloadPolicy, SharedBatchScratch, SharedDracoProcess, SharedThreadHandle,
-};
+pub use shared::{ReloadDecision, ReloadPolicy, SharedDracoProcess, SharedThreadHandle};
 pub use spt::{Spt, SptEntry};
 pub use stats::{BatchStats, CheckerStats};
 pub use vat::{Vat, VatKey, VatLookup};

@@ -107,7 +107,7 @@ impl DracoOs {
         Ok(pid)
     }
 
-    /// Forks `parent`: the child inherits the profile with cold tables.
+    /// Forks `parent`: the child inherits the policy with cold tables.
     ///
     /// # Errors
     ///
@@ -118,7 +118,7 @@ impl DracoOs {
             .processes
             .get(&parent)
             .ok_or(OsError::NoSuchProcess(parent))?;
-        let child = parent_proc.fork(child_pid)?;
+        let child = parent_proc.fork(child_pid);
         self.processes.insert(child_pid, child);
         Ok(child_pid)
     }

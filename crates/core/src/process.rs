@@ -163,10 +163,7 @@ impl DracoProcess {
             return CheckResult::KILLED;
         }
         let result = self.checker.check(req);
-        if matches!(
-            result.action,
-            draco_bpf::SeccompAction::KillProcess | draco_bpf::SeccompAction::KillThread
-        ) {
+        if result.kills() {
             self.alive = false;
         }
         result
@@ -187,34 +184,30 @@ impl DracoProcess {
         let mut start = 0;
         while start < reqs.len() {
             if !self.alive {
-                for slot in &mut out[start..] {
-                    *slot = CheckResult::KILLED;
-                }
+                out[start..].fill(CheckResult::KILLED);
                 return;
             }
-            let committed = self
+            start += self
                 .checker
                 .check_batch_segment(&reqs[start..], &mut out[start..]);
-            start += committed;
-            if matches!(
-                out[start - 1].action,
-                draco_bpf::SeccompAction::KillProcess | draco_bpf::SeccompAction::KillThread
-            ) {
+            if out[start - 1].kills() {
                 self.alive = false;
             }
         }
     }
 
-    /// Forks the process: the child inherits the profile but starts with
-    /// cold tables (a fresh kernel would lazily rebuild them; starting
-    /// cold is the conservative model and exercises Draco's warm-up).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DracoError`] if re-compiling the inherited profile fails
-    /// (it cannot, for profiles that compiled once).
-    pub fn fork(&self, child_pid: ProcessId) -> Result<DracoProcess, DracoError> {
-        DracoProcess::spawn(child_pid, self.checker.profile())
+    /// Forks the process: the child inherits the installed policy —
+    /// profile, engine flavor and analysis plan, shared with the parent
+    /// so nothing is recompiled — but starts with cold, un-preloaded
+    /// tables (paper §VII-B: a fresh kernel would lazily rebuild them;
+    /// starting cold is the conservative model and exercises Draco's
+    /// warm-up).
+    pub fn fork(&self, child_pid: ProcessId) -> DracoProcess {
+        DracoProcess {
+            pid: child_pid,
+            checker: self.checker.fork(),
+            alive: true,
+        }
     }
 }
 
@@ -272,12 +265,56 @@ mod tests {
         parent.syscall(&req(39, &[]));
         parent.syscall(&req(39, &[]));
         assert!(parent.stats().spt_hits > 0);
-        let mut child = parent.fork(ProcessId(2)).unwrap();
+        let mut child = parent.fork(ProcessId(2));
         assert_eq!(child.pid(), ProcessId(2));
         assert_eq!(child.profile().name(), profile.name());
         // Child's first call is a cold miss.
         let r = child.syscall(&req(39, &[]));
         assert!(!r.path.is_cache_hit());
+    }
+
+    #[test]
+    fn fork_keeps_the_engine_and_the_analysis_plan() {
+        let profile = draco_profiles::docker_default();
+        let analysis = draco_profiles::analyze_profile(&profile).unwrap();
+        let mut parent = DracoProcess::spawn_analyzed_with_engine(
+            ProcessId(1),
+            &profile,
+            &analysis,
+            EngineKind::Dag,
+        )
+        .unwrap();
+        let mut child = parent.fork(ProcessId(2));
+        assert_eq!(child.checker().engine_kind(), EngineKind::Dag);
+        assert!(
+            child.checker().has_analysis(),
+            "the analysis plan survives fork"
+        );
+        assert_eq!(
+            child.checker().spt().valid_count(),
+            0,
+            "the child is not preloaded"
+        );
+        let trace = [
+            req(0, &[3, 0, 100]),
+            req(135, &[0xffff_ffff, 0, 0]),
+            req(135, &[0x1234, 0, 0]),
+            req(101, &[0, 0, 0]),
+            req(999, &[0, 0, 0]),
+        ];
+        // The parent is preloaded and the child cold, so only the
+        // actions agree on the first pass; once both have seen the
+        // trace, the paths agree too.
+        for r in &trace {
+            assert_eq!(child.syscall(r).action, parent.syscall(r).action, "{r}");
+        }
+        for r in &trace {
+            assert_eq!(child.syscall(r), parent.syscall(r), "{r}");
+        }
+        assert!(
+            child.stats().always_allow_hits > 0,
+            "the child uses the proven fast path"
+        );
     }
 
     #[test]

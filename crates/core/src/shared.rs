@@ -13,8 +13,8 @@
 //!   insert — takes a lock, and it is per-table: updates to one syscall's
 //!   table never stall lookups (or updates) on another's;
 //! * lifecycle follows the paper: [`SharedDracoProcess::spawn_thread`]
-//!   shares the tables, [`SharedDracoProcess::fork`] starts cold with the
-//!   same profile, and [`SharedDracoProcess::install_additional`]
+//!   shares the tables, [`SharedDracoProcess::fork`] starts cold under
+//!   the same policy, and [`SharedDracoProcess::install_additional`]
 //!   atomically swaps the policy and flushes cached state without ever
 //!   stalling the lock-free readers.
 //!
@@ -53,16 +53,16 @@ use std::sync::{
 
 use std::sync::OnceLock;
 
-use draco_bpf::{SeccompAction, SeccompData};
-use draco_cuckoo::{ConcurrentTable, CrcPairHasher, HashPair, InsertOutcome, PairHasher};
-use draco_obs::{AuditRing, CheckerMetrics, CuckooMetrics, Histogram, MetricsRegistry, VatMetrics};
-use draco_profiles::{analyze_profile, ArgPolicy, ProfileAnalysis, ProfileSpec, SyscallRule};
-use draco_syscalls::{ArgBitmask, MaskedBytes, SyscallId, SyscallRequest, SyscallTable};
+use draco_bpf::SeccompAction;
+use draco_cuckoo::{ConcurrentTable, InsertOutcome};
+use draco_obs::{AuditRing, CuckooMetrics, MetricsRegistry, TraceScope, VatMetrics};
+use draco_profiles::{ProfileAnalysis, ProfileSpec};
+use draco_syscalls::{ArgBitmask, SyscallId, SyscallRequest, SyscallTable};
 
-use crate::checker::{deny_audit_event, AnalysisPlan, FilterEngine};
+use crate::policy::Policy;
+use crate::stats::Counters;
 use crate::{
-    BatchStats, CheckMode, CheckPath, CheckResult, CheckerStats, Decision, DracoError, EngineKind,
-    ProcessId,
+    BatchStats, CheckPath, CheckResult, CheckerStats, Decision, DracoError, EngineKind, ProcessId,
 };
 
 /// Low 48 bits of an SPT word: the Argument Bitmask.
@@ -266,78 +266,14 @@ pub enum ReloadDecision {
     ProvenSafe(draco_bpf::semdiff::Relation),
 }
 
-/// The swappable policy: profile, compiled filter stack, check mode, and
-/// the optional analysis plan — everything `install_additional` replaces
-/// atomically.
-struct Policy {
-    profile: ProfileSpec,
-    filter: FilterEngine,
-    mode: CheckMode,
-    plan: Option<AnalysisPlan>,
-}
-
-impl Policy {
-    fn build(
-        profile: ProfileSpec,
-        plan: Option<AnalysisPlan>,
-        kind: EngineKind,
-    ) -> Result<Self, DracoError> {
-        let mode = if profile.checks_arguments() {
-            CheckMode::IdAndArgs
-        } else {
-            CheckMode::IdOnly
-        };
-        let filter = FilterEngine::build(&profile, kind)?;
-        Ok(Policy {
-            filter,
-            profile,
-            mode,
-            plan,
-        })
-    }
-
-    /// How a validated syscall gets cached — the shared twin of the
-    /// serial checker's `cache_plan`.
-    fn cache_plan(&self, id: SyscallId, rule: &SyscallRule) -> (ArgBitmask, Option<usize>) {
-        if let Some(plan) = &self.plan {
-            if plan.always_allows(id) {
-                return (ArgBitmask::EMPTY, None);
-            }
-        }
-        match (&rule.args, self.mode) {
-            (ArgPolicy::Whitelist { mask, sets }, CheckMode::IdAndArgs) => {
-                let mask = self
-                    .plan
-                    .as_ref()
-                    .and_then(|plan| plan.mask(id))
-                    .unwrap_or(*mask);
-                (mask, Some(sets.len()))
-            }
-            _ => (ArgBitmask::EMPTY, None),
-        }
-    }
-
-    fn always_allows(&self, id: SyscallId) -> bool {
-        self.plan.as_ref().is_some_and(|plan| plan.always_allows(id))
-    }
-}
-
-/// Check-traffic accumulator merged from finished thread sessions.
-struct Aggregate {
-    stats: CheckerStats,
-    batch: BatchStats,
-    batch_size: Histogram,
-    insns_per_filter_run: Histogram,
-    saved_insns_per_hit: Histogram,
-}
-
 /// The state every thread handle shares.
 struct SharedState {
     pid: ProcessId,
     spt: SharedSpt,
     vat: SharedVat,
     /// The current policy. Read-locked briefly on the miss path (to
-    /// clone the `Arc`); write-locked only by `install_additional`.
+    /// clone the `Arc`); write-locked only by `install_additional`. A
+    /// fork clones the `Arc` into the child.
     policy: RwLock<Arc<Policy>>,
     /// Serializes shared-SPT writes against each other and against the
     /// `install_additional` flush (VAT tables carry their own per-table
@@ -348,18 +284,25 @@ struct SharedState {
     /// from a superseded policy is never cached.
     epoch: AtomicU64,
     alive: AtomicBool,
-    aggregate: Mutex<Aggregate>,
+    /// Counters merged from finished (or synced) thread sessions.
+    counters: Mutex<Counters>,
     /// Optional denial-audit sink. Installed (rarely) under the lock;
     /// each `spawn_thread` clones the `Arc` into the handle so the
     /// miss-path emission itself is lock-free.
     audit: Mutex<Option<Arc<AuditRing>>>,
 }
 
+/// Locks `mutex`, recovering the data if a panicking thread poisoned it
+/// (every critical section here leaves its data consistent).
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 impl SharedState {
-    fn lock_aggregate(&self) -> std::sync::MutexGuard<'_, Aggregate> {
-        self.aggregate
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock_counters(&self) -> std::sync::MutexGuard<'_, Counters> {
+        lock(&self.counters)
     }
 
     fn read_policy(&self) -> Arc<Policy> {
@@ -367,6 +310,29 @@ impl SharedState {
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .clone()
+    }
+
+    /// Shared-SPT write under the update lock with the epoch re-check:
+    /// a validation from a superseded policy is dropped. Returns whether
+    /// the lock acquisition was contended.
+    fn store_spt(
+        &self,
+        epoch: u64,
+        id: SyscallId,
+        mask: ArgBitmask,
+        has_vat: bool,
+        always_allow: bool,
+    ) -> bool {
+        let (guard, contended) = match self.update.try_lock() {
+            Ok(guard) => (guard, false),
+            Err(std::sync::TryLockError::Poisoned(poisoned)) => (poisoned.into_inner(), false),
+            Err(std::sync::TryLockError::WouldBlock) => (lock(&self.update), true),
+        };
+        if self.epoch.load(Ordering::Acquire) == epoch {
+            self.spt.store(id, mask, has_vat, always_allow);
+        }
+        drop(guard);
+        contended
     }
 }
 
@@ -402,7 +368,7 @@ impl SharedDracoProcess {
     ///
     /// Returns [`DracoError`] if the profile's filter fails to compile.
     pub fn spawn(pid: ProcessId, profile: &ProfileSpec) -> Result<Self, DracoError> {
-        Self::spawn_inner(pid, profile.clone(), None, None, EngineKind::Compiled)
+        Self::spawn_with_engine(pid, profile, EngineKind::Compiled)
     }
 
     /// Creates a shared process like [`SharedDracoProcess::spawn`] with an
@@ -417,7 +383,8 @@ impl SharedDracoProcess {
         profile: &ProfileSpec,
         kind: EngineKind,
     ) -> Result<Self, DracoError> {
-        Self::spawn_inner(pid, profile.clone(), None, None, kind)
+        let policy = Policy::build(profile.clone(), kind)?;
+        Ok(Self::with_policy(pid, Arc::new(policy), None))
     }
 
     /// Creates a shared process with a precomputed filter-analysis plan
@@ -455,14 +422,9 @@ impl SharedDracoProcess {
         analysis: &ProfileAnalysis,
         kind: EngineKind,
     ) -> Result<Self, DracoError> {
-        assert_eq!(
-            analysis.name(),
-            profile.name(),
-            "analysis plan must match the installed profile"
-        );
-        let capacity = SyscallTable::shared().capacity();
-        let plan = AnalysisPlan::from_analysis(analysis, capacity);
-        let process = Self::spawn_inner(pid, profile.clone(), Some(plan), None, kind)?;
+        let mut policy = Policy::build(profile.clone(), kind)?;
+        policy.install_analysis(analysis);
+        let process = Self::with_policy(pid, Arc::new(policy), None);
         process.preload();
         Ok(process)
     }
@@ -479,37 +441,26 @@ impl SharedDracoProcess {
         profile: &ProfileSpec,
         cap: usize,
     ) -> Result<Self, DracoError> {
-        Self::spawn_inner(pid, profile.clone(), None, Some(cap), EngineKind::Compiled)
+        let policy = Policy::build(profile.clone(), EngineKind::Compiled)?;
+        Ok(Self::with_policy(pid, Arc::new(policy), Some(cap)))
     }
 
-    fn spawn_inner(
-        pid: ProcessId,
-        profile: ProfileSpec,
-        plan: Option<AnalysisPlan>,
-        capacity_cap: Option<usize>,
-        kind: EngineKind,
-    ) -> Result<Self, DracoError> {
+    /// A process with cold tables enforcing `policy`.
+    fn with_policy(pid: ProcessId, policy: Arc<Policy>, capacity_cap: Option<usize>) -> Self {
         let capacity = SyscallTable::shared().capacity();
-        let policy = Policy::build(profile, plan, kind)?;
-        Ok(SharedDracoProcess {
+        SharedDracoProcess {
             state: Arc::new(SharedState {
                 pid,
                 spt: SharedSpt::new(capacity),
                 vat: SharedVat::new(capacity, capacity_cap),
-                policy: RwLock::new(Arc::new(policy)),
+                policy: RwLock::new(policy),
                 update: Mutex::new(()),
                 epoch: AtomicU64::new(0),
                 alive: AtomicBool::new(true),
-                aggregate: Mutex::new(Aggregate {
-                    stats: CheckerStats::default(),
-                    batch: BatchStats::default(),
-                    batch_size: Histogram::default(),
-                    insns_per_filter_run: Histogram::default(),
-                    saved_insns_per_hit: Histogram::default(),
-                }),
+                counters: Mutex::new(Counters::default()),
                 audit: Mutex::new(None),
             }),
-        })
+        }
     }
 
     /// The process ID.
@@ -550,29 +501,17 @@ impl SharedDracoProcess {
     /// audited; existing handles keep their previous (possibly absent)
     /// sink.
     pub fn enable_audit(&self, ring: Arc<AuditRing>) {
-        *self
-            .state
-            .audit
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(ring);
+        *lock(&self.state.audit) = Some(ring);
     }
 
     /// Detaches the denial-audit ring for threads spawned afterwards.
     pub fn disable_audit(&self) {
-        *self
-            .state
-            .audit
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        *lock(&self.state.audit) = None;
     }
 
     /// The installed denial-audit ring, if any.
     pub fn audit_ring(&self) -> Option<Arc<AuditRing>> {
-        self.state
-            .audit
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
+        lock(&self.state.audit).clone()
     }
 
     /// Creates a checking handle that shares this process's SPT/VAT —
@@ -582,25 +521,18 @@ impl SharedDracoProcess {
         SharedThreadHandle {
             audit: self.audit_ring(),
             state: Arc::clone(&self.state),
-            stats: CheckerStats::default(),
-            batch: BatchStats::default(),
-            batch_size: Histogram::default(),
-            batch_scratch: SharedBatchScratch::default(),
-            insns_per_filter_run: Histogram::default(),
-            saved_insns_per_hit: Histogram::default(),
+            counters: Counters::default(),
         }
     }
 
-    /// Forks the process: the child inherits the profile but starts with
-    /// cold, *unshared* tables (existing [`crate::DracoProcess::fork`]
-    /// semantics — a forked address space shares nothing with the
-    /// parent's Draco state).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DracoError`] if re-compiling the inherited profile fails.
-    pub fn fork(&self, child_pid: ProcessId) -> Result<SharedDracoProcess, DracoError> {
-        SharedDracoProcess::spawn_with_engine(child_pid, &self.profile(), self.engine_kind())
+    /// Forks the process: the child inherits the installed policy —
+    /// profile, engine flavor and analysis plan, shared with the parent
+    /// so nothing is recompiled — but starts with cold, *unshared*,
+    /// un-preloaded tables (paper §VII-B, and the same semantics as
+    /// [`crate::DracoProcess::fork`]: a forked address space shares
+    /// nothing with the parent's cached validations).
+    pub fn fork(&self, child_pid: ProcessId) -> SharedDracoProcess {
+        SharedDracoProcess::with_policy(child_pid, self.state.read_policy(), None)
     }
 
     /// Attaches an additional filter: the effective policy becomes the
@@ -660,7 +592,7 @@ impl SharedDracoProcess {
                         Ok(relation) => ReloadDecision::ProvenSafe(relation),
                         Err(diff) => {
                             drop(guard);
-                            state.lock_aggregate().stats.reloads_refused += 1;
+                            state.lock_counters().stats.reloads_refused += 1;
                             return Err(DracoError::ReloadRejected {
                                 relation: diff.relation,
                                 diff: Some(diff),
@@ -669,18 +601,11 @@ impl SharedDracoProcess {
                     }
                 }
             };
-            let combined = guard.profile.intersect(extra);
-            let plan = if guard.plan.is_some() {
-                let analysis = analyze_profile(&combined).map_err(DracoError::FilterCompile)?;
-                let capacity = SyscallTable::shared().capacity();
-                Some(AnalysisPlan::from_analysis(&analysis, capacity))
-            } else {
-                None
-            };
-            // Preserve the engine flavor across the policy swap.
-            *guard = Arc::new(Policy::build(combined, plan, guard.filter.kind())?);
+            // The intersection keeps the engine flavor and re-derives
+            // the analysis plan, if any.
+            *guard = Arc::new(guard.intersect(extra)?);
         }
-        state.lock_aggregate().stats.reloads_permitted += 1;
+        state.lock_counters().stats.reloads_permitted += 1;
         self.flush();
         Ok(decision)
     }
@@ -696,10 +621,7 @@ impl SharedDracoProcess {
         // or sees the new epoch inside its critical section and aborts.
         state.epoch.fetch_add(1, Ordering::AcqRel);
         {
-            let _update = state
-                .update
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let _update = lock(&state.update);
             state.spt.invalidate_all();
         }
         state.vat.clear_all();
@@ -712,45 +634,11 @@ impl SharedDracoProcess {
         let epoch = state.epoch.load(Ordering::Acquire);
         let policy = state.read_policy();
         for (id, rule) in policy.profile.rules() {
-            match policy.cache_plan(id, rule) {
-                (mask, Some(sets)) => {
-                    if state.vat.ensure(id, sets).is_some() {
-                        Self::spt_store_guarded(state, epoch, id, mask, true, false);
-                    }
-                }
-                (mask, None) => {
-                    Self::spt_store_guarded(state, epoch, id, mask, false, policy.always_allows(id));
-                }
+            let (mask, sets) = policy.cache_plan(id, rule);
+            if sets.is_none_or(|sets| state.vat.ensure(id, sets).is_some()) {
+                state.store_spt(epoch, id, mask, sets.is_some(), policy.always_allows(id));
             }
         }
-    }
-
-    /// Shared-SPT write under the update lock with the epoch re-check.
-    /// Returns whether the lock acquisition was contended.
-    fn spt_store_guarded(
-        state: &SharedState,
-        epoch: u64,
-        id: SyscallId,
-        mask: ArgBitmask,
-        has_vat: bool,
-        always_allow: bool,
-    ) -> bool {
-        let (guard, contended) = match state.update.try_lock() {
-            Ok(guard) => (guard, false),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => (poisoned.into_inner(), false),
-            Err(std::sync::TryLockError::WouldBlock) => (
-                state
-                    .update
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-                true,
-            ),
-        };
-        if state.epoch.load(Ordering::Acquire) == epoch {
-            state.spt.store(id, mask, has_vat, always_allow);
-        }
-        drop(guard);
-        contended
     }
 
     /// Accumulated counters from every finished (or synced) thread
@@ -758,7 +646,7 @@ impl SharedDracoProcess {
     /// [`SharedThreadHandle::sync_stats`] (or drop the handle) first for
     /// a complete total.
     pub fn stats(&self) -> CheckerStats {
-        self.state.lock_aggregate().stats
+        self.state.lock_counters().stats
     }
 
     /// Number of valid shared-SPT entries.
@@ -772,32 +660,8 @@ impl SharedDracoProcess {
     /// the `vat` occupancy gauges.
     pub fn metrics(&self) -> MetricsRegistry {
         let policy = self.state.read_policy();
-        let aggregate = self.state.lock_aggregate();
-        let stats = aggregate.stats;
         MetricsRegistry {
-            checker: CheckerMetrics {
-                spt_hits: stats.spt_hits,
-                always_allow_hits: stats.always_allow_hits,
-                vat_hits: stats.vat_hits,
-                filter_runs: stats.filter_runs,
-                filter_insns: stats.filter_insns,
-                denials: stats.denials,
-                vat_inserts: stats.vat_inserts,
-                seqlock_retries: stats.seqlock_retries,
-                vat_lock_waits: stats.vat_lock_waits,
-                insert_races_lost: stats.insert_races_lost,
-                masks_derived_match: policy.plan.as_ref().map_or(0, |p| p.derived_match),
-                masks_overridden: policy.plan.as_ref().map_or(0, |p| p.overridden),
-                batches: aggregate.batch.batches,
-                batched_checks: aggregate.batch.batched_checks,
-                prefetch_issued: aggregate.batch.prefetch_issued,
-                miss_dedup_hits: aggregate.batch.miss_dedup_hits,
-                reloads_permitted: stats.reloads_permitted,
-                reloads_refused: stats.reloads_refused,
-                batch_size: aggregate.batch_size,
-                insns_per_filter_run: aggregate.insns_per_filter_run,
-                saved_insns_per_hit: aggregate.saved_insns_per_hit,
-            },
+            checker: self.state.lock_counters().metrics(policy.plan.as_ref()),
             cuckoo: self.state.vat.cuckoo_metrics(),
             vat: VatMetrics {
                 tables: self.state.vat.table_count() as u64,
@@ -832,56 +696,15 @@ impl fmt::Display for SharedDracoProcess {
 
 /// One thread's checking session against a [`SharedDracoProcess`].
 ///
-/// The handle owns its [`CheckerStats`] — the lock-free hot path updates
-/// plain thread-local counters, never a shared atomic — and merges them
-/// into the process aggregate on [`SharedThreadHandle::sync_stats`] or
-/// drop.
+/// The handle owns its counters — the lock-free hot path updates plain
+/// thread-local counters, never a shared atomic — and merges them into
+/// the process total on [`SharedThreadHandle::sync_stats`] or drop.
 pub struct SharedThreadHandle {
     state: Arc<SharedState>,
     /// Captured from the process at spawn time so the deny emission
     /// never takes the process-level lock.
     audit: Option<Arc<AuditRing>>,
-    stats: CheckerStats,
-    batch: BatchStats,
-    batch_size: Histogram,
-    batch_scratch: SharedBatchScratch,
-    insns_per_filter_run: Histogram,
-    saved_insns_per_hit: Histogram,
-}
-
-/// Per-request classification from the shared batch resolve pass.
-#[derive(Clone, Copy, Debug)]
-enum SharedBatchClass {
-    /// Valid SPT word with no VAT: the word alone decides (allow).
-    SptExit { always_allow: bool },
-    /// Valid SPT word with a resident VAT table: hash, prefetch, probe.
-    Candidate,
-    /// No usable word/table at resolve time: re-run the scalar check in
-    /// the commit walk (which also picks up any in-batch cache fills).
-    Miss,
-}
-
-/// Reusable staging buffers for [`SharedThreadHandle::check_batch`].
-///
-/// Same role as [`crate::BatchScratch`] on the serial checker: own the
-/// per-pass vectors once so warm batches allocate nothing.
-#[derive(Debug, Default)]
-pub struct SharedBatchScratch {
-    class: Vec<SharedBatchClass>,
-    ids: Vec<SyscallId>,
-    keys: Vec<MaskedBytes>,
-    pairs: Vec<HashPair>,
-    hits: Vec<bool>,
-}
-
-impl SharedBatchScratch {
-    fn reset(&mut self) {
-        self.class.clear();
-        self.ids.clear();
-        self.keys.clear();
-        self.pairs.clear();
-        self.hits.clear();
-    }
+    counters: Counters,
 }
 
 impl SharedThreadHandle {
@@ -892,11 +715,7 @@ impl SharedThreadHandle {
     pub fn check(&mut self, req: &SyscallRequest) -> CheckResult {
         if let Some(word) = self.state.spt.load(req.id) {
             if !word.has_vat {
-                self.stats.spt_hits += 1;
-                if word.always_allow {
-                    self.stats.always_allow_hits += 1;
-                }
-                self.saved_insns_per_hit.record(self.mean_filter_cost());
+                self.counters.spt_hit(word.always_allow);
                 return CheckResult {
                     action: SeccompAction::Allow,
                     path: CheckPath::SptHit,
@@ -905,10 +724,9 @@ impl SharedThreadHandle {
             if let Some(table) = self.state.vat.get(req.id) {
                 let key = word.mask.select_bytes(&req.args);
                 let probe = table.probe(key.as_slice());
-                self.stats.seqlock_retries += probe.retries;
+                self.counters.stats.seqlock_retries += probe.retries;
                 if probe.hit.is_some() {
-                    self.stats.vat_hits += 1;
-                    self.saved_insns_per_hit.record(self.mean_filter_cost());
+                    self.counters.vat_hit();
                     return CheckResult {
                         action: SeccompAction::Allow,
                         path: CheckPath::VatHit,
@@ -925,68 +743,29 @@ impl SharedThreadHandle {
     /// share their fate, paper §VI).
     pub fn syscall(&mut self, req: &SyscallRequest) -> CheckResult {
         if !self.state.alive.load(Ordering::Acquire) {
-            return CheckResult {
-                action: SeccompAction::KillProcess,
-                path: CheckPath::FilterRun { insns: 0 },
-            };
+            return CheckResult::KILLED;
         }
         let result = self.check(req);
-        if matches!(
-            result.action,
-            SeccompAction::KillProcess | SeccompAction::KillThread
-        ) {
+        if result.kills() {
             self.state.alive.store(false, Ordering::Release);
         }
         result
     }
 
-    /// Checks a whole batch through the staged passes, writing one
-    /// decision per request.
-    ///
-    /// From a single handle with no concurrent writers this produces
-    /// exactly the decisions — and exactly the stats — of a loop over
-    /// [`SharedThreadHandle::check`]. Under concurrent mutation the
-    /// decisions any interleaving could have produced are still the only
-    /// possible outputs (every stale probe is re-run before it commits),
-    /// but diagnostic counters such as `seqlock_retries` may count a
-    /// rare re-probe twice.
+    /// Checks a whole batch, writing one decision per request: an
+    /// in-order loop over [`SharedThreadHandle::check`], so it produces
+    /// exactly the loop's decisions and [`CheckerStats`], and under
+    /// concurrent writers exactly what some interleaving of scalar
+    /// checks could. It counts `batches`, `batched_checks` and the batch
+    /// size; `prefetch_issued` and `miss_dedup_hits` stay zero. (A
+    /// staged pipeline over the shared tables cost more per check than
+    /// this loop — `docs/batching.md` has the measurement.)
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != reqs.len()`.
     pub fn check_batch(&mut self, reqs: &[SyscallRequest], out: &mut [CheckResult]) {
-        let mut scratch = core::mem::take(&mut self.batch_scratch);
-        self.check_batch_with(reqs, out, &mut scratch);
-        self.batch_scratch = scratch;
-    }
-
-    /// Like [`SharedThreadHandle::check_batch`], but staging through a
-    /// caller-owned scratch (for allocation-free warm batches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != reqs.len()`.
-    pub fn check_batch_with(
-        &mut self,
-        reqs: &[SyscallRequest],
-        out: &mut [CheckResult],
-        scratch: &mut SharedBatchScratch,
-    ) {
-        let committed = self.batch_passes(reqs, out, scratch, false);
-        debug_assert_eq!(committed, reqs.len());
-    }
-
-    /// Batch segment that stops committing after the first kill verdict;
-    /// returns how many decisions were written.
-    pub(crate) fn check_batch_segment(
-        &mut self,
-        reqs: &[SyscallRequest],
-        out: &mut [CheckResult],
-    ) -> usize {
-        let mut scratch = core::mem::take(&mut self.batch_scratch);
-        let committed = self.batch_passes(reqs, out, &mut scratch, true);
-        self.batch_scratch = scratch;
-        committed
+        self.check_batch_segment(reqs, out, false);
     }
 
     /// Issues a whole batch of system calls: like
@@ -1002,175 +781,36 @@ impl SharedThreadHandle {
         let mut start = 0;
         while start < reqs.len() {
             if !self.state.alive.load(Ordering::Acquire) {
-                for slot in &mut out[start..] {
-                    *slot = CheckResult::KILLED;
-                }
+                out[start..].fill(CheckResult::KILLED);
                 return;
             }
-            let committed = self.check_batch_segment(&reqs[start..], &mut out[start..]);
-            start += committed;
-            if matches!(
-                out[start - 1].action,
-                SeccompAction::KillProcess | SeccompAction::KillThread
-            ) {
+            start += self.check_batch_segment(&reqs[start..], &mut out[start..], true);
+            if out[start - 1].kills() {
                 self.state.alive.store(false, Ordering::Release);
             }
         }
     }
 
-    /// The staged batch pipeline (shared-table variant of the serial
-    /// checker's): resolve SPT words, hash surviving keys four lanes at a
-    /// time, prefetch every candidate slot before any probe, probe, then
-    /// commit decisions in request order. Commit re-runs the scalar path
-    /// for misses and re-probes candidates whose table may have changed
-    /// under an in-batch insert, so ordering effects (a repeated key
-    /// validated earlier in the same batch) resolve exactly as a scalar
-    /// loop would.
-    fn batch_passes(
+    /// The batch loop. With `stop_on_kill` it returns right after
+    /// writing a kill verdict; returns how many decisions were written.
+    fn check_batch_segment(
         &mut self,
         reqs: &[SyscallRequest],
         out: &mut [CheckResult],
-        scratch: &mut SharedBatchScratch,
         stop_on_kill: bool,
     ) -> usize {
         assert_eq!(reqs.len(), out.len(), "one decision slot per request");
         if reqs.is_empty() {
             return 0;
         }
-        self.batch.batches += 1;
-        self.batch.batched_checks += reqs.len() as u64;
-        self.batch_size.record(reqs.len() as u64);
-        scratch.reset();
-
-        // Pass 1: resolve SPT words, partition the batch.
-        for req in reqs {
-            let class = match self.state.spt.load(req.id) {
-                Some(word) if !word.has_vat => SharedBatchClass::SptExit {
-                    always_allow: word.always_allow,
-                },
-                Some(word) => {
-                    if self.state.vat.get(req.id).is_some() {
-                        scratch.ids.push(req.id);
-                        scratch.keys.push(word.mask.select_bytes(&req.args));
-                        SharedBatchClass::Candidate
-                    } else {
-                        SharedBatchClass::Miss
-                    }
-                }
-                None => SharedBatchClass::Miss,
-            };
-            scratch.class.push(class);
-        }
-
-        // Pass 2: CRC the surviving keys, four lanes at a time.
-        let hasher = CrcPairHasher::new();
-        let mut chunks = scratch.keys.chunks_exact(4);
-        for four in chunks.by_ref() {
-            let pairs = hasher.hash_pair4([
-                four[0].as_slice(),
-                four[1].as_slice(),
-                four[2].as_slice(),
-                four[3].as_slice(),
-            ]);
-            scratch.pairs.extend_from_slice(&pairs);
-        }
-        for key in chunks.remainder() {
-            scratch.pairs.push(hasher.hash_pair(key.as_slice()));
-        }
-
-        // Pass 3: prefetch both candidate ways, then probe.
-        for (&id, &pair) in scratch.ids.iter().zip(scratch.pairs.iter()) {
-            if let Some(table) = self.state.vat.get(id) {
-                table.prefetch(pair);
-                self.batch.prefetch_issued += 2;
+        self.counters.record_batch(reqs.len());
+        for (i, (req, slot)) in reqs.iter().zip(out.iter_mut()).enumerate() {
+            *slot = self.check(req);
+            if stop_on_kill && slot.kills() {
+                return i + 1;
             }
         }
-        for (i, &id) in scratch.ids.iter().enumerate() {
-            let hit = match self.state.vat.get(id) {
-                Some(table) => {
-                    let probe = table.probe_hashed(scratch.keys[i].as_slice(), scratch.pairs[i]);
-                    self.stats.seqlock_retries += probe.retries;
-                    probe.hit.is_some()
-                }
-                None => false,
-            };
-            scratch.hits.push(hit);
-        }
-
-        // Pass 4: commit decisions in request order.
-        let mut mutated = false;
-        let mut cursor = 0usize;
-        let mut committed = reqs.len();
-        for (i, req) in reqs.iter().enumerate() {
-            let result = match scratch.class[i] {
-                SharedBatchClass::SptExit { always_allow } => {
-                    self.stats.spt_hits += 1;
-                    if always_allow {
-                        self.stats.always_allow_hits += 1;
-                    }
-                    self.saved_insns_per_hit.record(self.mean_filter_cost());
-                    CheckResult {
-                        action: SeccompAction::Allow,
-                        path: CheckPath::SptHit,
-                    }
-                }
-                SharedBatchClass::Candidate => {
-                    let mut hit = scratch.hits[cursor];
-                    // An in-batch insert may have filled — or evicted —
-                    // the probed slots; re-probe so the commit sees the
-                    // table exactly as a scalar check at this position
-                    // would.
-                    if mutated {
-                        if let Some(table) = self.state.vat.get(req.id) {
-                            let probe = table
-                                .probe_hashed(scratch.keys[cursor].as_slice(), scratch.pairs[cursor]);
-                            self.stats.seqlock_retries += probe.retries;
-                            let fresh = probe.hit.is_some();
-                            if !hit && fresh {
-                                self.batch.miss_dedup_hits += 1;
-                            }
-                            hit = fresh;
-                        }
-                    }
-                    cursor += 1;
-                    if hit {
-                        self.stats.vat_hits += 1;
-                        self.saved_insns_per_hit.record(self.mean_filter_cost());
-                        CheckResult {
-                            action: SeccompAction::Allow,
-                            path: CheckPath::VatHit,
-                        }
-                    } else {
-                        let writes = self.stats.vat_inserts + self.stats.insert_races_lost;
-                        let result = self.check_miss(req);
-                        mutated |=
-                            self.stats.vat_inserts + self.stats.insert_races_lost != writes;
-                        result
-                    }
-                }
-                SharedBatchClass::Miss => {
-                    let cached = self.stats.spt_hits + self.stats.vat_hits;
-                    let writes = self.stats.vat_inserts + self.stats.insert_races_lost;
-                    let result = self.check(req);
-                    if self.stats.spt_hits + self.stats.vat_hits != cached {
-                        self.batch.miss_dedup_hits += 1;
-                    }
-                    mutated |= self.stats.vat_inserts + self.stats.insert_races_lost != writes;
-                    result
-                }
-            };
-            out[i] = result;
-            if stop_on_kill
-                && matches!(
-                    result.action,
-                    SeccompAction::KillProcess | SeccompAction::KillThread
-                )
-            {
-                committed = i + 1;
-                break;
-            }
-        }
-        committed
+        reqs.len()
     }
 
     /// The slow path: run the filter under the policy current *now*, and
@@ -1181,36 +821,15 @@ impl SharedThreadHandle {
         // the validation is conservatively dropped at insert time.
         let epoch = self.state.epoch.load(Ordering::Acquire);
         let policy = self.state.read_policy();
-        let data = SeccompData::from_request(req);
-        let outcome = policy
-            .filter
-            .run(&data)
-            .expect("profile-generated filters cannot fault");
-        self.stats.filter_runs += 1;
-        self.stats.filter_insns += outcome.insns_executed;
-        self.insns_per_filter_run.record(outcome.insns_executed);
-        if outcome.action.permits() {
+        let audit = self
+            .audit
+            .as_deref()
+            .map(|ring| (ring, self.state.pid.0 as u16));
+        let result = policy.run_filter(req, &mut self.counters, audit, &mut TraceScope::inactive());
+        if result.action.permits() {
             self.record_validation(req, &policy, epoch);
-        } else {
-            self.stats.denials += 1;
-            if let Some(ring) = &self.audit {
-                if let Some(event) = deny_audit_event(
-                    self.state.pid.0 as u16,
-                    req,
-                    outcome.action,
-                    policy.filter.kind(),
-                    outcome.insns_executed,
-                ) {
-                    ring.offer(event);
-                }
-            }
         }
-        CheckResult {
-            action: outcome.action,
-            path: CheckPath::FilterRun {
-                insns: outcome.insns_executed,
-            },
-        }
+        result
     }
 
     /// Updates the shared SPT/VAT after a successful filter run. Every
@@ -1220,90 +839,56 @@ impl SharedThreadHandle {
         let Some(rule) = policy.profile.rule(req.id) else {
             return;
         };
-        match policy.cache_plan(req.id, rule) {
-            (mask, Some(sets)) => {
-                let Some(table) = self.state.vat.ensure(req.id, sets) else {
-                    return;
-                };
-                let key = mask.select_bytes(&req.args);
-                let mut guard = table.write();
-                if guard.contended() {
-                    self.stats.vat_lock_waits += 1;
-                }
-                if self.state.epoch.load(Ordering::Acquire) != epoch {
-                    return;
-                }
-                let outcome = guard.insert(key.as_slice(), mask.masked(&req.args).as_array());
-                drop(guard);
-                match outcome {
-                    // The key was already resident: another thread
-                    // validated the same argument set while our filter
-                    // ran (the refreshed value is bit-identical).
-                    InsertOutcome::Updated => self.stats.insert_races_lost += 1,
-                    InsertOutcome::Inserted | InsertOutcome::Evicted => {
-                        self.stats.vat_inserts += 1;
-                    }
-                }
-                if SharedDracoProcess::spt_store_guarded(
-                    &self.state,
-                    epoch,
-                    req.id,
-                    mask,
-                    true,
-                    false,
-                ) {
-                    self.stats.vat_lock_waits += 1;
-                }
+        let (mask, sets) = policy.cache_plan(req.id, rule);
+        if let Some(sets) = sets {
+            let Some(table) = self.state.vat.ensure(req.id, sets) else {
+                return;
+            };
+            let key = mask.select_bytes(&req.args);
+            let mut guard = table.write();
+            if guard.contended() {
+                self.counters.stats.vat_lock_waits += 1;
             }
-            (mask, None) => {
-                if SharedDracoProcess::spt_store_guarded(
-                    &self.state,
-                    epoch,
-                    req.id,
-                    mask,
-                    false,
-                    policy.always_allows(req.id),
-                ) {
-                    self.stats.vat_lock_waits += 1;
+            if self.state.epoch.load(Ordering::Acquire) != epoch {
+                return;
+            }
+            let outcome = guard.insert(key.as_slice(), mask.masked(&req.args).as_array());
+            drop(guard);
+            match outcome {
+                // The key was already resident: another thread
+                // validated the same argument set while our filter
+                // ran (the refreshed value is bit-identical).
+                InsertOutcome::Updated => self.counters.stats.insert_races_lost += 1,
+                InsertOutcome::Inserted | InsertOutcome::Evicted => {
+                    self.counters.stats.vat_inserts += 1;
                 }
             }
         }
-    }
-
-    /// Mean fallback cost this thread has observed, in cBPF
-    /// instructions (what a cached hit is credited with saving).
-    fn mean_filter_cost(&self) -> u64 {
-        self.stats.filter_insns / self.stats.filter_runs.max(1)
+        let always_allow = policy.always_allows(req.id);
+        if self
+            .state
+            .store_spt(epoch, req.id, mask, sets.is_some(), always_allow)
+        {
+            self.counters.stats.vat_lock_waits += 1;
+        }
     }
 
     /// This thread's local counters (not yet merged into the process).
-    pub fn stats(&self) -> CheckerStats {
-        self.stats
+    pub const fn stats(&self) -> CheckerStats {
+        self.counters.stats
     }
 
     /// This thread's local batch-path counters (not yet merged into the
     /// process).
     pub const fn batch_stats(&self) -> BatchStats {
-        self.batch
+        self.counters.batch
     }
 
-    /// Merges this thread's counters into the process aggregate and
-    /// resets the local ones. Called automatically on drop.
+    /// Merges this thread's counters into the process total and resets
+    /// the local ones. Called automatically on drop.
     pub fn sync_stats(&mut self) {
-        let mut aggregate = self.state.lock_aggregate();
-        aggregate.stats.accumulate(&self.stats);
-        aggregate.batch.accumulate(&self.batch);
-        aggregate.batch_size.merge(&self.batch_size);
-        aggregate
-            .insns_per_filter_run
-            .merge(&self.insns_per_filter_run);
-        aggregate.saved_insns_per_hit.merge(&self.saved_insns_per_hit);
-        drop(aggregate);
-        self.stats = CheckerStats::default();
-        self.batch = BatchStats::default();
-        self.batch_size = Histogram::default();
-        self.insns_per_filter_run = Histogram::default();
-        self.saved_insns_per_hit = Histogram::default();
+        let counters = core::mem::take(&mut self.counters);
+        self.state.lock_counters().accumulate(&counters);
     }
 }
 
@@ -1317,7 +902,7 @@ impl fmt::Debug for SharedThreadHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedThreadHandle")
             .field("pid", &self.state.pid)
-            .field("stats", &self.stats)
+            .field("stats", &self.counters.stats)
             .finish()
     }
 }
@@ -1325,7 +910,9 @@ impl fmt::Debug for SharedThreadHandle {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use draco_profiles::{docker_default, gvisor_default, ProfileGenerator, ProfileKind};
+    use draco_profiles::{
+        analyze_profile, docker_default, gvisor_default, ProfileGenerator, ProfileKind,
+    };
     use draco_syscalls::ArgSet;
 
     fn req(nr: u16, args: &[u64]) -> SyscallRequest {
@@ -1354,7 +941,7 @@ mod tests {
         // Engine flavor survives a policy swap and a fork.
         dag.install_additional(&profile).unwrap();
         assert_eq!(dag.engine_kind(), crate::EngineKind::Dag);
-        let child = dag.fork(ProcessId(3)).unwrap();
+        let child = dag.fork(ProcessId(3));
         assert_eq!(child.engine_kind(), crate::EngineKind::Dag);
     }
 
@@ -1610,12 +1197,55 @@ mod tests {
         let mut t = process.spawn_thread();
         t.check(&req(39, &[]));
         assert_eq!(t.check(&req(39, &[])).path, CheckPath::SptHit);
-        let child = process.fork(ProcessId(2)).unwrap();
+        let child = process.fork(ProcessId(2));
         assert_eq!(child.pid(), ProcessId(2));
         let mut ct = child.spawn_thread();
         assert!(
             !ct.check(&req(39, &[])).path.is_cache_hit(),
             "child tables are cold"
+        );
+    }
+
+    #[test]
+    fn fork_shares_the_policy_engine_and_analysis_plan() {
+        let profile = docker_default();
+        let analysis = analyze_profile(&profile).unwrap();
+        let parent = SharedDracoProcess::spawn_analyzed_with_engine(
+            ProcessId(1),
+            &profile,
+            &analysis,
+            crate::EngineKind::Dag,
+        )
+        .unwrap();
+        let child = parent.fork(ProcessId(2));
+        assert_eq!(child.engine_kind(), crate::EngineKind::Dag);
+        assert!(child.has_analysis(), "the analysis plan survives fork");
+        assert!(
+            Arc::ptr_eq(&parent.state.read_policy(), &child.state.read_policy()),
+            "the child shares the parent's compiled policy"
+        );
+        assert_eq!(child.spt_valid_count(), 0, "the child is not preloaded");
+        let mut tp = parent.spawn_thread();
+        let mut tc = child.spawn_thread();
+        let trace = [
+            req(0, &[3, 0, 100]),
+            req(135, &[0xffff_ffff, 0, 0]),
+            req(135, &[0x1234, 0, 0]),
+            req(101, &[0, 0, 0]),
+            req(999, &[0, 0, 0]),
+        ];
+        // The parent is preloaded and the child cold, so only the
+        // actions agree on the first pass; once both have seen the
+        // trace, the paths agree too.
+        for r in &trace {
+            assert_eq!(tc.check(r).action, tp.check(r).action, "{r}");
+        }
+        for r in &trace {
+            assert_eq!(tc.check(r), tp.check(r), "{r}");
+        }
+        assert!(
+            tc.stats().always_allow_hits > 0,
+            "the child uses the proven fast path"
         );
     }
 
@@ -1791,13 +1421,9 @@ mod tests {
             let b = tb.batch_stats();
             assert_eq!(b.batched_checks, trace.len() as u64);
             assert_eq!(b.batches, trace.len().div_ceil(batch_size) as u64);
-            if batch_size < trace.len() {
-                assert!(b.prefetch_issued > 0, "warm batches prefetch candidates");
-            } else {
-                // One fully cold batch: no SPT words at resolve time, so
-                // every repeat resolves through the deduplicated miss path.
-                assert!(b.miss_dedup_hits > 0, "cold repeats dedup in-batch");
-            }
+            // The shared batch is a loop over the scalar check: it
+            // stages nothing, so it prefetches and dedups nothing.
+            assert_eq!((b.prefetch_issued, b.miss_dedup_hits), (0, 0));
         }
     }
 
@@ -1806,14 +1432,23 @@ mod tests {
         let process = SharedDracoProcess::spawn(ProcessId(1), &docker_default()).unwrap();
         let mut t = process.spawn_thread();
         // Five copies of the same never-seen argument-checked request in
-        // one batch: the first runs the filter, the other four resolve
-        // from the in-batch insert.
+        // one batch: the first runs the filter, the other four hit the
+        // VAT entry it inserted.
         let reqs = vec![req(135, &[0xffff_ffff, 0, 0]); 5];
         let mut out = vec![CheckResult::KILLED; 5];
         t.check_batch(&reqs, &mut out);
         assert!(out.iter().all(|r| r.action.permits()));
-        assert_eq!(t.stats().filter_runs, 1, "filter executed once per distinct key");
-        assert_eq!(t.batch_stats().miss_dedup_hits, 4);
+        assert_eq!(
+            t.stats().filter_runs,
+            1,
+            "filter executed once per distinct key"
+        );
+        assert_eq!(t.stats().vat_hits, 4);
+        assert_eq!(
+            t.batch_stats().miss_dedup_hits,
+            0,
+            "no staged dedup on the shared loop"
+        );
     }
 
     #[test]

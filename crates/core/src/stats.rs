@@ -2,6 +2,10 @@
 
 use core::fmt;
 
+use draco_obs::{CheckerMetrics, Histogram};
+
+use crate::policy::AnalysisPlan;
+
 /// Counters a [`crate::DracoChecker`] maintains across checks.
 ///
 /// These back the evaluation's hit-rate analyses and the software cost
@@ -95,18 +99,23 @@ impl CheckerStats {
 /// exactly the same `CheckerStats` as the equivalent scalar loop (the
 /// differential test in `tests/equivalence.rs` pins this down), so
 /// batch-only bookkeeping must not leak into the shared counters.
+///
+/// `prefetch_issued` and `miss_dedup_hits` count the per-process
+/// checker's staged pipeline only. The shared-thread handle's batch is
+/// a loop over its scalar check, so it leaves both at zero.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// `check_batch` invocations.
     pub batches: u64,
     /// Checks submitted through batches.
     pub batched_checks: u64,
-    /// Software prefetches issued before the probe pass (two per
-    /// distinct staged key — one per cuckoo way; in-batch repeats of a
-    /// key share one prefetch).
+    /// Software prefetches the per-process staged pipeline issued
+    /// before its probe pass (two per distinct staged key — one per
+    /// cuckoo way; in-batch repeats of a key share one prefetch).
     pub prefetch_issued: u64,
-    /// Batch-local misses that resolved from cache in the commit walk
-    /// because an earlier request in the same batch validated the key.
+    /// Batch-local misses the per-process staged pipeline resolved
+    /// from cache in its commit walk because an earlier request in the
+    /// same batch validated the key.
     pub miss_dedup_hits: u64,
 }
 
@@ -117,6 +126,91 @@ impl BatchStats {
         self.batched_checks = self.batched_checks.saturating_add(other.batched_checks);
         self.prefetch_issued = self.prefetch_issued.saturating_add(other.prefetch_issued);
         self.miss_dedup_hits = self.miss_dedup_hits.saturating_add(other.miss_dedup_hits);
+    }
+}
+
+/// Everything one checker counts: its [`CheckerStats`], its
+/// [`BatchStats`] and the three histograms. The per-process checker,
+/// each shared-thread handle, and a shared process's merged total each
+/// keep one, so all three assemble the same [`CheckerMetrics`].
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Counters {
+    pub(crate) stats: CheckerStats,
+    pub(crate) batch: BatchStats,
+    /// Distribution of batch sizes submitted to `check_batch`.
+    pub(crate) batch_size: Histogram,
+    /// cBPF instructions per fallback run.
+    pub(crate) insns_per_filter_run: Histogram,
+    /// Filter instructions a cached hit avoided (the running mean of
+    /// fallback cost, recorded at hit time).
+    pub(crate) saved_insns_per_hit: Histogram,
+}
+
+impl Counters {
+    /// Mean fallback cost observed so far, in cBPF instructions — what a
+    /// cached hit is credited with saving. Integer division keeps the
+    /// hot path float-free; 0 until the first filter run.
+    pub(crate) fn mean_filter_cost(&self) -> u64 {
+        self.stats.filter_insns / self.stats.filter_runs.max(1)
+    }
+
+    /// Counts a check the SPT word alone admitted.
+    pub(crate) fn spt_hit(&mut self, always_allow: bool) {
+        self.stats.spt_hits += 1;
+        self.stats.always_allow_hits += u64::from(always_allow);
+        self.saved_insns_per_hit.record(self.mean_filter_cost());
+    }
+
+    /// Counts a check a VAT probe admitted.
+    pub(crate) fn vat_hit(&mut self) {
+        self.stats.vat_hits += 1;
+        self.saved_insns_per_hit.record(self.mean_filter_cost());
+    }
+
+    /// Counts one nonempty batch of `len` requests.
+    pub(crate) fn record_batch(&mut self, len: usize) {
+        self.batch.batches += 1;
+        self.batch.batched_checks += len as u64;
+        self.batch_size.record(len as u64);
+    }
+
+    /// Accumulates another set of counters (saturating field-wise,
+    /// histograms merged).
+    pub(crate) fn accumulate(&mut self, other: &Counters) {
+        self.stats.accumulate(&other.stats);
+        self.batch.accumulate(&other.batch);
+        self.batch_size.merge(&other.batch_size);
+        self.insns_per_filter_run.merge(&other.insns_per_filter_run);
+        self.saved_insns_per_hit.merge(&other.saved_insns_per_hit);
+    }
+
+    /// The `checker` section of a metrics snapshot; `plan` supplies the
+    /// mask-agreement counters (zero without an analysis plan).
+    pub(crate) fn metrics(&self, plan: Option<&AnalysisPlan>) -> CheckerMetrics {
+        let stats = &self.stats;
+        CheckerMetrics {
+            spt_hits: stats.spt_hits,
+            always_allow_hits: stats.always_allow_hits,
+            vat_hits: stats.vat_hits,
+            filter_runs: stats.filter_runs,
+            filter_insns: stats.filter_insns,
+            denials: stats.denials,
+            vat_inserts: stats.vat_inserts,
+            seqlock_retries: stats.seqlock_retries,
+            vat_lock_waits: stats.vat_lock_waits,
+            insert_races_lost: stats.insert_races_lost,
+            masks_derived_match: plan.map_or(0, |p| p.derived_match),
+            masks_overridden: plan.map_or(0, |p| p.overridden),
+            batches: self.batch.batches,
+            batched_checks: self.batch.batched_checks,
+            prefetch_issued: self.batch.prefetch_issued,
+            miss_dedup_hits: self.batch.miss_dedup_hits,
+            reloads_permitted: stats.reloads_permitted,
+            reloads_refused: stats.reloads_refused,
+            batch_size: self.batch_size,
+            insns_per_filter_run: self.insns_per_filter_run,
+            saved_insns_per_hit: self.saved_insns_per_hit,
+        }
     }
 }
 

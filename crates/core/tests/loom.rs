@@ -152,8 +152,8 @@ fn batched_checks_racing_a_flush_keep_the_profile_decision() {
         let profile = profile();
         let process =
             Arc::new(SharedDracoProcess::spawn(ProcessId(5), &profile).expect("compiles"));
-        // Warm one key so the batch's probe pass has a live candidate
-        // for the flush to invalidate between staging and commit.
+        // Warm one key so the batch's first check can hit a live VAT
+        // entry that the flush may wipe before the batch's later checks.
         process.spawn_thread().check(&req(0, &[3, 9, 64]));
         let batcher = {
             let process = Arc::clone(&process);

@@ -1409,8 +1409,9 @@ fn prom_lint_cmd(args: &[String]) -> i32 {
 /// contention counters of the lock-free read path. `skewed` gives every
 /// thread the same trace seed (shared hot keys, read-dominated after
 /// warmup); `uniform` gives each thread its own seed (disjoint keys,
-/// writer-heavy). `--batch N` drives each worker through the staged
-/// batch check path in groups of `N`.
+/// writer-heavy). `--batch N` drives each worker through the shared
+/// handle's batch entry point (a loop over its scalar check) in groups
+/// of `N`.
 fn shared_replay_cmd(args: &[String]) -> i32 {
     use draco::workloads::shared_replay::{
         replay_shared, replay_shared_batched, KeyMix, SharedReplayConfig,

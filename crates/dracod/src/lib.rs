@@ -8,7 +8,8 @@
 //! profile, [`SharedDracoProcess`](draco_core::SharedDracoProcess)
 //! (shared SPT/VAT plus optional analysis plan), submission queue, and
 //! latency histogram — and multiplexes them over one request loop that
-//! drains queues into `check_batch` calls (the staged batch pipeline).
+//! drains queues into `check_batch` calls (a loop over the shared
+//! handle's scalar check).
 //!
 //! | Module | Contents |
 //! |---|---|

@@ -8,8 +8,8 @@
 //! [`DracoService::submit`] requests at any time, and each
 //! [`DracoService::drain`] round walks the registry in tenant order,
 //! popping up to `batch` requests per pass into
-//! [`SharedThreadHandle::check_batch`] (the staged batch pipeline) until
-//! every queue is empty.
+//! [`SharedThreadHandle::check_batch`] (a loop over the handle's scalar
+//! check) until every queue is empty.
 //!
 //! # Isolation
 //!
@@ -96,9 +96,9 @@ pub struct ServiceConfig {
     pub reload_policy: ReloadPolicy,
     /// Miss-path filter engine for every tenant checker.
     pub engine: EngineKind,
-    /// Run the PR-4 filter analysis at register/exec time and install
-    /// the derived [`AnalysisPlan`](draco_core::checker named) — proven
-    /// always-allow syscalls then skip CRC+VAT entirely.
+    /// Run the filter analysis at register/exec time and install the
+    /// derived analysis plan (forks share it) — proven always-allow
+    /// syscalls then skip CRC+VAT entirely.
     pub analyzed: bool,
     /// Denial-audit ring capacity (events buffered between drains).
     pub audit_capacity: usize,
@@ -371,21 +371,22 @@ impl DracoService {
     }
 
     /// Forks a tenant: the child is a new tenant (fresh never-reused
-    /// pid) inheriting the parent's effective profile with cold,
-    /// unshared tables — fork shares no Draco state (paper §VII-B).
+    /// pid) inheriting the parent's effective policy — profile, engine
+    /// and analysis plan, shared without recompiling — with cold,
+    /// unshared tables: fork shares no cached Draco state (paper
+    /// §VII-B).
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::UnknownTenant`] for an unregistered
-    /// parent, or [`ServiceError::Draco`] if recompiling the inherited
-    /// profile fails.
+    /// parent.
     pub fn fork(&mut self, parent: TenantId) -> Result<TenantId, ServiceError> {
         let parent_tenant = self
             .tenants
             .get(&parent)
             .ok_or(ServiceError::UnknownTenant(parent))?;
         let pid = ProcessId(self.next_id);
-        let child = parent_tenant.process.fork(pid)?;
+        let child = parent_tenant.process.fork(pid);
         child.enable_audit(Arc::clone(&self.audit));
         let name = parent_tenant.profile_name.clone();
         let id = self.install_tenant(child, name, Some(parent));

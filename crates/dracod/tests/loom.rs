@@ -8,7 +8,7 @@
 //!
 //! The race under test is the one the epoch protocol exists for: one
 //! thread is mid-`check_batch` on a tenant's shared tables (it may have
-//! staged a validation against the *old* policy) while another thread
+//! run the filter under the *old* policy) while another thread
 //! drives [`DracoService::reload`] — `install_additional` plus flush —
 //! through the service. The invariant: **no stale-epoch validation ever
 //! commits**. Concretely, once the reload returns, an argument set the

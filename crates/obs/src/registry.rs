@@ -66,12 +66,14 @@ pub struct CheckerMetrics {
     /// Checks submitted through the batched check path.
     #[serde(default)]
     pub batched_checks: u64,
-    /// Software prefetches issued by batch probe passes (two per VAT
-    /// candidate — one per cuckoo way).
+    /// Software prefetches issued by the per-process checker's batch
+    /// probe pass (two per VAT candidate — one per cuckoo way; the
+    /// shared handle's batch loop issues none).
     #[serde(default)]
     pub prefetch_issued: u64,
-    /// Batch-local misses resolved from cache during the commit walk
-    /// because an earlier request in the same batch validated the key.
+    /// Batch-local misses the per-process checker's commit walk resolved
+    /// from cache because an earlier request in the same batch
+    /// validated the key (always zero for the shared handle).
     #[serde(default)]
     pub miss_dedup_hits: u64,
     /// Hot-reload installs admitted (permissively, or proven safe by

@@ -218,9 +218,9 @@ pub fn replay_shared(
     replay_shared_inner(spec, kind, cfg, None)
 }
 
-/// Like [`replay_shared`], but each worker drives the staged batch path
-/// ([`draco_core::SharedThreadHandle::syscall_batch`]), `batch` requests
-/// per call. Per-thread allow counts are identical to the scalar shared
+/// Like [`replay_shared`], but each worker drives the batch entry point
+/// ([`draco_core::SharedThreadHandle::syscall_batch`], a loop over the
+/// handle's scalar check), `batch` requests per call. Per-thread allow counts are identical to the scalar shared
 /// replay on the same config; cache-hit counts remain timing-dependent
 /// across threads exactly as in the scalar case.
 ///
