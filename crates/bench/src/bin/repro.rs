@@ -75,25 +75,28 @@ fn main() {
     }
 }
 
-/// Default path of the tracked throughput history (JSONL, repo root).
-const HISTORY_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_history.jsonl");
+/// Default paths of the tracked report, the untracked `--quick` report
+/// and the tracked history, relative to the current directory (run
+/// `repro` from the repository root).
+const REPORT_PATH: &str = "BENCH_throughput.json";
+const QUICK_REPORT_PATH: &str = "target/BENCH_throughput.quick.json";
+const HISTORY_PATH: &str = "BENCH_history.jsonl";
 
 /// `repro throughput [--quick] [--ops N] [--warmup N] [--seed N]
 /// [--shards N] [--batch N] [--workload W] [--out PATH] [--trace PATH]
 /// [--folded PATH] [--timeseries PATH] [--sample N] [--json] [--stats]`
 /// — the wall-clock harness. Always writes the JSON report. Standard
-/// runs default to the
-/// tracked `BENCH_throughput.json` at the repo root and append a summary
-/// line to `BENCH_history.jsonl` for the `repro compare` gate; `--quick`
-/// runs default to the untracked `target/BENCH_throughput.quick.json`
-/// and leave the history alone. `--trace`/`--folded` run the Draco
-/// multi-thread replay under a sampled span tracer and export the spans
-/// as Chrome trace JSON / folded flamegraph stacks. `--timeseries`
-/// writes the v7 live-replay window ring as a standalone
-/// `draco-timeseries/v1` JSON document (tracked bench files are
-/// unaffected). `--json` echoes the
-/// report to stdout instead of the human table; `--stats` appends
-/// latency quantiles and the merged metrics snapshot.
+/// runs default to the tracked `BENCH_throughput.json` and append a
+/// summary line to `BENCH_history.jsonl` for the `repro compare` gate;
+/// `--quick` runs default to the untracked
+/// `target/BENCH_throughput.quick.json` and leave the history alone.
+/// `--trace`/`--folded` run the Draco multi-thread replay under a
+/// sampled span tracer and export the spans as Chrome trace JSON /
+/// folded flamegraph stacks. `--timeseries` writes the live-replay
+/// window ring as a standalone `draco-timeseries/v1` JSON document
+/// (tracked bench files are unaffected). `--json` echoes the report to
+/// stdout instead of the series table; `--stats` appends the merged
+/// metrics snapshot.
 fn run_throughput_cmd(args: &[String]) {
     use draco::obs::{chrome_trace_json, folded_stacks};
     use draco::workloads::replay::TraceConfig;
@@ -154,14 +157,12 @@ fn run_throughput_cmd(args: &[String]) {
     // Quick runs are smoke tests: keep them away from the tracked
     // baseline unless the caller explicitly routes them with --out.
     let tracked = !quick && out.is_none();
-    let path = out.unwrap_or_else(|| {
-        if quick {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_throughput.quick.json")
-                .to_owned()
-        } else {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json").to_owned()
-        }
-    });
+    let default = if quick {
+        QUICK_REPORT_PATH
+    } else {
+        REPORT_PATH
+    };
+    let path = out.unwrap_or_else(|| default.to_owned());
     if let Some(dir) = std::path::Path::new(&path).parent() {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
@@ -187,9 +188,9 @@ fn run_throughput_cmd(args: &[String]) {
         wrote.push(ts_path.clone());
     }
     if tracked {
-        let history = std::path::Path::new(HISTORY_PATH);
-        append_history(history, &HistoryEntry::from_report(&report))
-            .unwrap_or_else(|e| panic!("cannot append {}: {e}", history.display()));
+        let entry = HistoryEntry::from_report(&report);
+        append_history(std::path::Path::new(HISTORY_PATH), &entry)
+            .unwrap_or_else(|e| panic!("cannot append {HISTORY_PATH}: {e}"));
         wrote.push(HISTORY_PATH.to_owned());
     }
 
@@ -198,139 +199,16 @@ fn run_throughput_cmd(args: &[String]) {
         return;
     }
     println!(
-        "Throughput — wall-clock checks/second ({}, {} ops/shard, {} shards)",
-        report.workload, report.ops_per_shard, report.shards
+        "Throughput — {} ({} ops/shard, {} shards, seed {})",
+        report.workload, report.ops_per_shard, report.shards, report.seed
     );
-    println!(
-        "{:<18} {:>14} {:>14} {:>9} {:>9}",
-        "backend", "1-thread", "N-thread", "speedup", "hit-rate"
-    );
-    for b in &report.backends {
-        println!(
-            "{:<18} {:>14.0} {:>14.0} {:>8.2}x {:>8.1}%",
-            b.backend,
-            b.single_thread_checks_per_sec,
-            b.multi_thread_checks_per_sec,
-            b.parallel_speedup,
-            b.cache_hit_rate * 100.0
-        );
-    }
-    if let Some(b) = &report.batch {
-        println!(
-            "{:<18} {:>14.0} {:>14.0} {:>8.2}x {:>8.1}%  (batch={}, vs scalar single)",
-            "draco-batch",
-            b.single_thread_checks_per_sec,
-            b.multi_thread_checks_per_sec,
-            b.speedup_vs_scalar_single,
-            b.cache_hit_rate * 100.0,
-            b.batch
-        );
-    }
-    if let Some(d) = &report.dag {
-        println!();
-        println!(
-            "Filter engines, deny-heavy stream — {} checks, {:.1}% denied (no cache in front)",
-            d.checks,
-            d.deny_rate * 100.0
-        );
-        println!(
-            "{:<18} {:>14} {:>12}",
-            "engine", "checks/sec", "vs interp"
-        );
-        println!("{:<18} {:>14.0} {:>11.2}x", "interp", d.interp_checks_per_sec, 1.0);
-        println!(
-            "{:<18} {:>14.0} {:>11.2}x",
-            "compiled",
-            d.compiled_checks_per_sec,
-            if d.interp_checks_per_sec > 0.0 {
-                d.compiled_checks_per_sec / d.interp_checks_per_sec
-            } else {
-                0.0
-            }
-        );
-        println!(
-            "{:<18} {:>14.0} {:>11.2}x  ({} nodes, {}/{} entries closed)",
-            "dag",
-            d.dag_checks_per_sec,
-            d.speedup_vs_interp,
-            d.nodes,
-            d.closed_entries,
-            d.table_entries
-        );
-    }
-    if let Some(ts) = &report.timeseries {
-        println!();
-        println!(
-            "Live timeseries — {} rounds over a deny-every-{} stream ({} checks, {:.1}% denied)",
-            ts.rounds,
-            ts.deny_every,
-            ts.checks,
-            ts.deny_rate * 100.0
-        );
-        println!(
-            "  window: {} intervals held ({} dropped); audit: {} published, {} dropped of {} denials",
-            ts.intervals, ts.intervals_dropped, ts.audit_published, ts.audit_dropped, ts.denials
-        );
-    }
-    if let Some(s) = &report.service {
-        println!();
-        println!(
-            "Admission service (dracod) — {} tenants over {} rounds ({} forks, {} retired)",
-            s.tenants, s.rounds, s.forks, s.retired
-        );
-        println!(
-            "  {:.0} checks/s over {} checks, {:.1}% hit-rate, {:.1}% denied; reloads {} ok / {} refused",
-            s.checks_per_sec,
-            s.checks,
-            s.cache_hit_rate * 100.0,
-            s.deny_rate * 100.0,
-            s.reloads_permitted,
-            s.reloads_refused
-        );
-        println!(
-            "  latency p50/p95/p99: {}/{}/{} ns; audit: {} published, {} dropped of {} denials",
-            s.p50_latency_ns,
-            s.p95_latency_ns,
-            s.p99_latency_ns,
-            s.audit_published,
-            s.audit_dropped,
-            s.denials
-        );
-    }
-    if !report.shared_threads.is_empty() {
-        println!();
-        println!(
-            "Thread-shared process — one SPT/VAT, {} worker threads (lock-free reads)",
-            report.shared_threads[0].threads
-        );
-        println!(
-            "{:<10} {:>14} {:>14} {:>9} {:>9} {:>24}",
-            "key mix", "1-worker", "N-worker", "scaling", "hit-rate", "retries/waits/races"
-        );
-        for s in &report.shared_threads {
-            println!(
-                "{:<10} {:>14.0} {:>14.0} {:>8.2}x {:>8.1}% {:>24}",
-                s.mix,
-                s.single_thread_checks_per_sec,
-                s.multi_thread_checks_per_sec,
-                s.scaling,
-                s.cache_hit_rate * 100.0,
-                format!(
-                    "{}/{}/{}",
-                    s.seqlock_retries, s.lock_waits, s.insert_races_lost
-                )
-            );
-        }
+    for s in &report.series {
+        println!("  {:<40} {:>20.3} {}", s.name, s.value, s.unit);
     }
     if tracing {
         println!("traced {} spans from the draco-sw multi-thread run", spans.len());
     }
     if stats {
-        println!();
-        println!("sampled check latency, multi-thread (ns):");
-        for b in &report.backends {
-            println!("  {:<18} {}", b.backend, b.check_latency_ns.quantile_summary());
-        }
         println!();
         println!("{}", report.metrics);
     }
@@ -341,7 +219,7 @@ fn run_throughput_cmd(args: &[String]) {
 
 /// `repro compare [--report PATH] [--history PATH] [--threshold-pct P]
 /// [--warn-only]` — the throughput regression gate. Compares the
-/// report's draco-sw single-thread rate against the best comparable
+/// report's `draco-sw.single_checks_per_sec` series against the best comparable
 /// entry in the history; exits 1 on a regression beyond the threshold
 /// unless `--warn-only` (the CI mode — shared runners are too noisy for
 /// a hard gate).
@@ -349,8 +227,7 @@ fn run_compare_cmd(args: &[String]) {
     use draco_bench::history::{compare, load_history, DEFAULT_THRESHOLD_PCT};
     use draco_bench::throughput::ThroughputReport;
 
-    let mut report_path =
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json").to_owned();
+    let mut report_path = REPORT_PATH.to_owned();
     let mut history_path = HISTORY_PATH.to_owned();
     let mut threshold_pct = DEFAULT_THRESHOLD_PCT;
     let mut warn_only = false;
@@ -425,10 +302,10 @@ fn usage() {
          \x20 ablate-opt    peephole-optimized filters vs raw vs draco-sw\n\
          \x20 all           everything above\n\
          \x20 throughput    wall-clock checks/sec per backend, 1 and N threads,\n\
-         \x20               plus the dracod multi-tenant service churn section\n\
-         \x20               (writes BENCH_throughput.json and appends to\n\
-         \x20               BENCH_history.jsonl; --quick writes the untracked\n\
-         \x20               target/BENCH_throughput.quick.json; flags: --shards N\n\
+         \x20               plus the dracod multi-tenant service churn, as named\n\
+         \x20               series (writes ./BENCH_throughput.json and appends to\n\
+         \x20               ./BENCH_history.jsonl; --quick writes the untracked\n\
+         \x20               ./target/BENCH_throughput.quick.json; flags: --shards N\n\
          \x20               --shared-threads N --batch N --workload W --out PATH\n\
          \x20               --trace PATH --folded PATH --timeseries PATH\n\
          \x20               --sample N --stats)\n\

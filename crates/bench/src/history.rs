@@ -17,10 +17,16 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::throughput::ThroughputReport;
+use crate::throughput::{series_value, Series, ThroughputReport};
 
 /// Schema tag carried by every history line (bump on breaking changes).
-pub const HISTORY_SCHEMA: &str = "draco-history/v1";
+/// v2 copies the report's named series; v1 lines (one field per
+/// measurement) are skipped by [`load_history`].
+pub const HISTORY_SCHEMA: &str = "draco-history/v2";
+
+/// The series the `repro compare` gate checks: software Draco, one
+/// shard on one thread — the number work on the hot path moves.
+pub(crate) const GATED_SERIES: &str = "draco-sw.single_checks_per_sec";
 
 /// Default regression threshold: fail when the current rate drops more
 /// than this fraction below the best comparable baseline.
@@ -37,108 +43,27 @@ pub struct HistoryEntry {
     pub shards: u64,
     /// Measured checks per shard.
     pub ops_per_shard: u64,
-    /// Software Draco, one shard on one thread (the gated rate).
-    pub draco_sw_single_checks_per_sec: f64,
-    /// Software Draco, aggregate across shards.
-    pub draco_sw_multi_checks_per_sec: f64,
-    /// Seccomp interpreter baseline, single-thread.
-    pub seccomp_interp_single_checks_per_sec: f64,
-    /// Seccomp pre-decoded baseline, single-thread.
-    pub seccomp_compiled_single_checks_per_sec: f64,
-    /// Thread-shared process, skewed mix, aggregate across all worker
-    /// threads (schema v4 reports; zero for entries appended before the
-    /// shared section existed).
-    #[serde(default)]
-    pub draco_shared_multi_checks_per_sec: f64,
-    /// Multi-worker over 1-worker scaling of the shared process, skewed
-    /// mix (hardware-dependent; recorded, not gated).
-    #[serde(default)]
-    pub draco_shared_scaling: f64,
-    /// Batched check path, one shard on one thread (schema v5 reports;
-    /// zero for entries appended before the batch section existed).
-    #[serde(default)]
-    pub draco_batch_single_checks_per_sec: f64,
-    /// Batch single-thread rate over the same run's scalar draco-sw
-    /// single-thread rate (recorded, not gated — the scalar rate stays
-    /// the gated number so batching cannot mask a scalar regression).
-    #[serde(default)]
-    pub draco_batch_speedup_vs_scalar: f64,
-    /// Decision-DAG engine rate on the deny-heavy stream (schema v6
-    /// reports; zero for entries appended before the dag section
-    /// existed).
-    #[serde(default)]
-    pub draco_dag_checks_per_sec: f64,
-    /// DAG engine rate over the cBPF interpreter rate on the same
-    /// deny-heavy stream (recorded, not gated).
-    #[serde(default)]
-    pub draco_dag_speedup_vs_interp: f64,
-    /// Aggregate admission throughput of the `dracod` churn scenario
-    /// (schema v8 reports; zero for entries appended before the service
-    /// section existed). Recorded, not gated.
-    #[serde(default)]
-    pub draco_service_checks_per_sec: f64,
-    /// Pooled p99 per-request service latency upper bound in
-    /// nanoseconds (schema v8 reports; zero before the section
-    /// existed). Recorded, not gated.
-    #[serde(default)]
-    pub draco_service_p99_latency_ns: f64,
+    /// The report's series, copied as they were measured.
+    pub series: Vec<Series>,
 }
 
 impl HistoryEntry {
     /// Summarizes a throughput report into one history line.
-    ///
-    /// Missing backends record a zero rate (a zero baseline never gates,
-    /// so a malformed report cannot fail the comparison by accident).
     pub fn from_report(report: &ThroughputReport) -> Self {
-        let single = |label: &str| {
-            report
-                .backend(label)
-                .map_or(0.0, |b| b.single_thread_checks_per_sec)
-        };
         HistoryEntry {
             schema: HISTORY_SCHEMA.to_owned(),
             workload: report.workload.clone(),
             shards: report.shards,
             ops_per_shard: report.ops_per_shard,
-            draco_sw_single_checks_per_sec: single("draco-sw"),
-            draco_sw_multi_checks_per_sec: report
-                .backend("draco-sw")
-                .map_or(0.0, |b| b.multi_thread_checks_per_sec),
-            seccomp_interp_single_checks_per_sec: single("seccomp-interp"),
-            seccomp_compiled_single_checks_per_sec: single("seccomp-compiled"),
-            draco_shared_multi_checks_per_sec: report
-                .shared_threads
-                .first()
-                .map_or(0.0, |s| s.multi_thread_checks_per_sec),
-            draco_shared_scaling: report
-                .shared_threads
-                .first()
-                .map_or(0.0, |s| s.scaling),
-            draco_batch_single_checks_per_sec: report
-                .batch
-                .as_ref()
-                .map_or(0.0, |b| b.single_thread_checks_per_sec),
-            draco_batch_speedup_vs_scalar: report
-                .batch
-                .as_ref()
-                .map_or(0.0, |b| b.speedup_vs_scalar_single),
-            draco_dag_checks_per_sec: report
-                .dag
-                .as_ref()
-                .map_or(0.0, |d| d.dag_checks_per_sec),
-            draco_dag_speedup_vs_interp: report
-                .dag
-                .as_ref()
-                .map_or(0.0, |d| d.speedup_vs_interp),
-            draco_service_checks_per_sec: report
-                .service
-                .as_ref()
-                .map_or(0.0, |s| s.checks_per_sec),
-            draco_service_p99_latency_ns: report
-                .service
-                .as_ref()
-                .map_or(0.0, |s| s.p99_latency_ns as f64),
+            series: report.series.clone(),
         }
+    }
+
+    /// The gated rate; zero when the entry lacks it (a zero baseline
+    /// never gates, so a malformed entry cannot fail the comparison by
+    /// accident).
+    fn gated(&self) -> f64 {
+        series_value(&self.series, GATED_SERIES).unwrap_or(0.0)
     }
 
     /// Whether `other` measured the same experiment (same workload and
@@ -192,8 +117,8 @@ impl fmt::Display for CompareOutcome {
     }
 }
 
-/// Compares a report's draco-sw single-thread rate against the best
-/// comparable entry in `history`.
+/// Compares a report's `draco-sw.single_checks_per_sec` series against
+/// the best comparable entry in `history`.
 ///
 /// The *best* (not latest) baseline gates: a slow run appended to the
 /// history must not lower the bar for the runs after it. Entries for a
@@ -204,20 +129,20 @@ pub fn compare(
     threshold_pct: f64,
 ) -> CompareOutcome {
     let current = HistoryEntry::from_report(report);
+    let rate = current.gated();
     let comparable: Vec<&HistoryEntry> = history
         .iter()
-        .filter(|e| e.comparable_to(&current) && e.draco_sw_single_checks_per_sec > 0.0)
+        .filter(|e| e.comparable_to(&current) && e.gated() > 0.0)
         .collect();
     let baseline = comparable
         .iter()
-        .map(|e| e.draco_sw_single_checks_per_sec)
+        .map(|e| e.gated())
         .fold(None, |best: Option<f64>, rate| {
             Some(best.map_or(rate, |b| b.max(rate)))
         });
-    let regression_pct =
-        baseline.map(|base| (base - current.draco_sw_single_checks_per_sec) / base * 100.0);
+    let regression_pct = baseline.map(|base| (base - rate) / base * 100.0);
     CompareOutcome {
-        current_checks_per_sec: current.draco_sw_single_checks_per_sec,
+        current_checks_per_sec: rate,
         baseline_checks_per_sec: baseline,
         regression_pct,
         threshold_pct,
@@ -341,10 +266,13 @@ mod tests {
     }
 
     fn entry_with_rate(report: &ThroughputReport, rate: f64) -> HistoryEntry {
-        HistoryEntry {
-            draco_sw_single_checks_per_sec: rate,
-            ..HistoryEntry::from_report(report)
+        let mut entry = HistoryEntry::from_report(report);
+        for s in &mut entry.series {
+            if s.name == GATED_SERIES {
+                s.value = rate;
+            }
         }
+        entry
     }
 
     #[test]
@@ -354,8 +282,68 @@ mod tests {
         assert_eq!(entry.schema, HISTORY_SCHEMA);
         assert_eq!(entry.workload, "pipe");
         assert_eq!(entry.ops_per_shard, 200);
-        assert!(entry.draco_sw_single_checks_per_sec > 0.0);
-        assert!(entry.seccomp_interp_single_checks_per_sec > 0.0);
+        assert_eq!(entry.shards, 2);
+        assert_eq!(entry.series, report.series, "every series is recorded");
+        assert!(entry.gated() > 0.0);
+    }
+
+    /// Asserts that `entry` records every series in `names` with a
+    /// positive value, and that an entry appended before those series
+    /// existed (the same line without them) still loads from the history
+    /// file and still gates.
+    fn assert_carries_and_tolerates_absence(names: &[&str]) {
+        let report = tiny_report();
+        let entry = HistoryEntry::from_report(&report);
+        for name in names {
+            let value = series_value(&entry.series, name);
+            assert!(value.is_some_and(|v| v > 0.0), "{name}: {value:?}");
+        }
+        let mut old = entry.clone();
+        old.series.retain(|s| !names.contains(&s.name.as_str()));
+        assert_eq!(old.series.len() + names.len(), entry.series.len());
+        let dir = std::env::temp_dir().join("draco-history-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!(
+            "history-absent-{}-{}.jsonl",
+            names[0],
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        append_history(&path, &old).unwrap();
+        let history = load_history(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(history, vec![old]);
+        for name in names {
+            assert_eq!(series_value(&history[0].series, name), None, "{name}");
+        }
+        let outcome = compare(&history, &report, DEFAULT_THRESHOLD_PCT);
+        assert_eq!(outcome.baselines_considered, 1, "{outcome}");
+    }
+
+    #[test]
+    fn entry_carries_shared_rates_and_tolerates_their_absence() {
+        assert_carries_and_tolerates_absence(&[
+            "shared.uniform.multi_checks_per_sec",
+            "shared.uniform.scaling",
+        ]);
+    }
+
+    #[test]
+    fn entry_carries_batch_rates_and_tolerates_their_absence() {
+        assert_carries_and_tolerates_absence(&[
+            "draco-batch.single_checks_per_sec",
+            "draco-batch.speedup_vs_scalar",
+        ]);
+    }
+
+    #[test]
+    fn entry_carries_dag_rates_and_tolerates_their_absence() {
+        assert_carries_and_tolerates_absence(&["dag.dag_checks_per_sec", "dag.speedup_vs_interp"]);
+    }
+
+    #[test]
+    fn entry_carries_service_rates_and_tolerates_their_absence() {
+        assert_carries_and_tolerates_absence(&["service.checks_per_sec", "service.p99_latency_ns"]);
     }
 
     #[test]
@@ -371,7 +359,7 @@ mod tests {
     #[test]
     fn synthetic_regression_trips_the_gate() {
         let report = tiny_report();
-        let current = HistoryEntry::from_report(&report).draco_sw_single_checks_per_sec;
+        let current = HistoryEntry::from_report(&report).gated();
         // A baseline 2x faster than the current run: a 50% regression.
         let fast = entry_with_rate(&report, current * 2.0);
         let outcome = compare(&[fast], &report, 10.0);
@@ -383,7 +371,7 @@ mod tests {
     #[test]
     fn comparable_baseline_within_threshold_passes() {
         let report = tiny_report();
-        let current = HistoryEntry::from_report(&report).draco_sw_single_checks_per_sec;
+        let current = HistoryEntry::from_report(&report).gated();
         // Baseline 5% above current: inside the 10% default threshold.
         let close = entry_with_rate(&report, current * 1.05);
         let outcome = compare(&[close], &report, DEFAULT_THRESHOLD_PCT);
@@ -399,7 +387,7 @@ mod tests {
     #[test]
     fn best_baseline_gates_not_latest() {
         let report = tiny_report();
-        let current = HistoryEntry::from_report(&report).draco_sw_single_checks_per_sec;
+        let current = HistoryEntry::from_report(&report).gated();
         // The latest entry is slow, but an earlier fast entry still gates.
         let history = vec![
             entry_with_rate(&report, current * 3.0),
@@ -414,7 +402,7 @@ mod tests {
     #[test]
     fn incomparable_entries_are_skipped() {
         let report = tiny_report();
-        let current = HistoryEntry::from_report(&report).draco_sw_single_checks_per_sec;
+        let current = HistoryEntry::from_report(&report).gated();
         let mut other_workload = entry_with_rate(&report, current * 100.0);
         other_workload.workload = "nginx".to_owned();
         let mut other_ops = entry_with_rate(&report, current * 100.0);
@@ -447,6 +435,12 @@ mod tests {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
             writeln!(f, "not json at all").unwrap();
             writeln!(f, "{{\"schema\":\"other/v9\"}}").unwrap();
+            // A line of the superseded one-field-per-measurement schema.
+            writeln!(
+                f,
+                "{{\"schema\":\"draco-history/v1\",\"workload\":\"pipe\",\"shards\":2,\"ops_per_shard\":200,\"draco_sw_single_checks_per_sec\":1e9}}"
+            )
+            .unwrap();
         }
         let loaded = load_history(&path).unwrap();
         assert_eq!(loaded, vec![entry.clone(), entry]);
@@ -454,113 +448,32 @@ mod tests {
     }
 
     #[test]
-    fn entry_carries_shared_rates_and_tolerates_their_absence() {
-        let report = tiny_report();
-        let entry = HistoryEntry::from_report(&report);
-        assert!(
-            entry.draco_shared_multi_checks_per_sec > 0.0,
-            "v4 reports populate the shared rate"
-        );
-        assert!(entry.draco_shared_scaling > 0.0);
-        // Entries appended before schema v4 lack the shared keys entirely;
-        // they are the last two fields, so truncating the serialized line
-        // at the first of them yields a faithful pre-v4 entry.
-        let json = serde_json::to_string(&entry).unwrap();
-        let cut = json
-            .find(",\"draco_shared_multi_checks_per_sec\"")
-            .expect("shared keys serialize");
-        let old: HistoryEntry = serde_json::from_str(&format!("{}}}", &json[..cut])).unwrap();
-        assert_eq!(old.draco_shared_multi_checks_per_sec, 0.0);
-        assert_eq!(old.draco_shared_scaling, 0.0);
-    }
-
-    #[test]
-    fn entry_carries_batch_rates_and_tolerates_their_absence() {
-        let report = tiny_report();
-        let entry = HistoryEntry::from_report(&report);
-        assert!(
-            entry.draco_batch_single_checks_per_sec > 0.0,
-            "v5 reports populate the batch rate"
-        );
-        assert!(entry.draco_batch_speedup_vs_scalar > 0.0);
-        // Entries appended before schema v5 lack the batch keys; they are
-        // the last two fields, so truncating the serialized line at the
-        // first of them yields a faithful pre-v5 entry.
-        let json = serde_json::to_string(&entry).unwrap();
-        let cut = json
-            .find(",\"draco_batch_single_checks_per_sec\"")
-            .expect("batch keys serialize");
-        let old: HistoryEntry = serde_json::from_str(&format!("{}}}", &json[..cut])).unwrap();
-        assert_eq!(old.draco_batch_single_checks_per_sec, 0.0);
-        assert_eq!(old.draco_batch_speedup_vs_scalar, 0.0);
-    }
-
-    #[test]
-    fn entry_carries_dag_rates_and_tolerates_their_absence() {
-        let report = tiny_report();
-        let entry = HistoryEntry::from_report(&report);
-        assert!(
-            entry.draco_dag_checks_per_sec > 0.0,
-            "v6 reports populate the dag rate"
-        );
-        assert!(entry.draco_dag_speedup_vs_interp > 0.0);
-        // Entries appended before schema v6 lack the dag keys; truncating
-        // the serialized line at the first of them yields a faithful
-        // pre-v6 entry.
-        let json = serde_json::to_string(&entry).unwrap();
-        let cut = json
-            .find(",\"draco_dag_checks_per_sec\"")
-            .expect("dag keys serialize");
-        let old: HistoryEntry = serde_json::from_str(&format!("{}}}", &json[..cut])).unwrap();
-        assert_eq!(old.draco_dag_checks_per_sec, 0.0);
-        assert_eq!(old.draco_dag_speedup_vs_interp, 0.0);
-    }
-
-    #[test]
-    fn entry_carries_service_rates_and_tolerates_their_absence() {
-        let report = tiny_report();
-        let entry = HistoryEntry::from_report(&report);
-        assert!(
-            entry.draco_service_checks_per_sec > 0.0,
-            "v8 reports populate the service rate"
-        );
-        assert!(entry.draco_service_p99_latency_ns > 0.0);
-        // Entries appended before schema v8 lack the service keys;
-        // truncating the serialized line at the first of them yields a
-        // faithful pre-v8 entry.
-        let json = serde_json::to_string(&entry).unwrap();
-        let cut = json
-            .find(",\"draco_service_checks_per_sec\"")
-            .expect("service keys serialize");
-        let old: HistoryEntry = serde_json::from_str(&format!("{}}}", &json[..cut])).unwrap();
-        assert_eq!(old.draco_service_checks_per_sec, 0.0);
-        assert_eq!(old.draco_service_p99_latency_ns, 0.0);
-    }
-
-    #[test]
     fn mixed_version_history_compares_without_loss() {
-        // A real history mixes entries appended by v3/v4 builds (no
-        // shared/batch keys) with v5 entries. The gate must consider all
-        // of them — no panic, no silent skip of old lines.
+        // Entries converted from the one-field-per-measurement schema
+        // carry only the series that existed when they were recorded;
+        // they load and gate next to full entries.
         let report = tiny_report();
-        let current = HistoryEntry::from_report(&report);
-        let v5_line = serde_json::to_string(&current).unwrap();
-        let pre_v5 = {
-            let cut = v5_line.find(",\"draco_batch_single_checks_per_sec\"").unwrap();
-            format!("{}}}", &v5_line[..cut])
-        };
-        let pre_v4 = {
-            let cut = v5_line.find(",\"draco_shared_multi_checks_per_sec\"").unwrap();
-            format!("{}}}", &v5_line[..cut])
-        };
+        let full = HistoryEntry::from_report(&report);
+        let mut early = full.clone();
+        early
+            .series
+            .retain(|s| s.name.starts_with("draco-sw.") || s.name.starts_with("seccomp-"));
+        let mut no_rate = full.clone();
+        no_rate.series.retain(|s| s.name != GATED_SERIES);
         let dir = std::env::temp_dir().join("draco-history-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(format!("history-mixed-{}.jsonl", std::process::id()));
-        std::fs::write(&path, format!("{pre_v4}\n{pre_v5}\n{v5_line}\n")).unwrap();
+        let _ = std::fs::remove_file(&path);
+        for entry in [&early, &no_rate, &full] {
+            append_history(&path, entry).unwrap();
+        }
         let history = load_history(&path).unwrap();
-        assert_eq!(history.len(), 3, "every version of the entry loads");
+        assert_eq!(history, vec![early, no_rate, full], "every entry loads");
         let outcome = compare(&history, &report, DEFAULT_THRESHOLD_PCT);
-        assert_eq!(outcome.baselines_considered, 3);
+        assert_eq!(
+            outcome.baselines_considered, 2,
+            "an entry without the gated series is no baseline"
+        );
         assert!(!outcome.regressed, "{outcome}");
         std::fs::remove_file(&path).unwrap();
     }

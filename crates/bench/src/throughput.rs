@@ -11,35 +11,23 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use draco::bpf::SeccompData;
-use draco::dracod::{run_churn, ChurnConfig, ServiceThroughput};
-use draco::obs::{Histogram, MetricsRegistry, Span, TimeseriesDump};
+use draco::dracod::{run_churn, ChurnConfig};
+use draco::obs::{MetricsRegistry, Span, TimeseriesDump};
 use draco::profiles::{compile_dag, compile_stacked, FilterLayout, ProfileKind};
 use draco::workloads::catalog;
 use draco::workloads::live::{replay_live, LiveConfig};
-use draco::workloads::timing::profile_for_trace;
-use draco::workloads::TraceGenerator;
 use draco::workloads::replay::{
-    replay_parallel, replay_parallel_traced, ReplayBackend, ReplayConfig, ReplayReport,
-    TraceConfig,
+    replay_parallel, replay_parallel_traced, ReplayBackend, ReplayConfig, ReplayReport, TraceConfig,
 };
 use draco::workloads::shared_replay::{replay_shared, KeyMix, SharedReplayConfig};
+use draco::workloads::timing::profile_for_trace;
+use draco::workloads::TraceGenerator;
 use draco::workloads::WorkloadSpec;
 
 /// Schema tag written into every report (bump on breaking changes).
-/// v2 added the `metrics` observability section; v3 added per-backend
-/// sampled check-latency histograms (`check_latency_ns`); v4 added the
-/// `shared_threads` section (thread-shared SPT/VAT scaling, paper §VI);
-/// v5 added the `batch` section (the staged batched check path against
-/// the same-run scalar draco-sw rate); v6 adds the `draco-dag` backend
-/// to the standard comparison set and the `dag` section (filter-engine
-/// rates on a deny-heavy, cache-defeating stream); v7 adds the
-/// `timeseries` section (a rounds-sliced deny-heavy live replay with
-/// window-ring and audit-stream accounting; the full window dump is
-/// exported by `repro throughput --timeseries PATH`); v8 adds the
-/// `service` section (the `dracod` multi-tenant churn scenario:
-/// tenant arrivals/departures, fork storms, and policy hot-reloads
-/// multiplexed through one admission service).
-pub const SCHEMA: &str = "draco-throughput/v8";
+/// v9 holds every measurement as one flat list of named [`Series`], so a
+/// new measurement is a new name, not a new section type.
+pub const SCHEMA: &str = "draco-throughput/v9";
 
 /// Harness parameters.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,17 +42,17 @@ pub struct ThroughputConfig {
     pub seed: u64,
     /// Shard (thread) count for the multi-thread run.
     pub shards: usize,
-    /// Worker-thread count for the shared-process runs
-    /// (the `shared_threads` report section).
+    /// Worker-thread count for the shared-process runs (the `shared.*`
+    /// series).
     pub shared_threads: usize,
     /// Requests per `syscall_batch` call in the batch-backend runs (the
-    /// `batch` report section).
+    /// `draco-batch.*` series).
     pub batch: usize,
 }
 
 impl ThroughputConfig {
-    /// Default batch size for the batch-backend section: big enough to
-    /// amortize per-batch staging (the commit fast path makes staging
+    /// Default batch size for the batch backend: big enough to amortize
+    /// per-batch staging (the commit fast path makes staging
     /// O(distinct), so larger batches keep paying off), small enough
     /// that requests plus staging stay cache-resident.
     pub const DEFAULT_BATCH: usize = 128;
@@ -100,190 +88,43 @@ pub fn default_shards() -> usize {
         .clamp(2, 8)
 }
 
-/// One backend's measured throughput.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BackendThroughput {
-    /// Backend label (`seccomp-interp`, `seccomp-compiled`, `draco-sw`).
-    pub backend: String,
-    /// Checks/second with one shard on one thread.
-    pub single_thread_checks_per_sec: f64,
-    /// Aggregate checks/second across all shards.
-    pub multi_thread_checks_per_sec: f64,
-    /// Multi-thread over single-thread throughput.
-    pub parallel_speedup: f64,
-    /// Fraction of measured checks the SPT/VAT absorbed (zero for the
-    /// Seccomp backends).
-    pub cache_hit_rate: f64,
-    /// Measured checks per shard in the multi-thread run — a pure
-    /// function of `(workload, seed, shard)`, so identical across
-    /// same-seed runs.
-    pub shard_checks: Vec<u64>,
-    /// Allowed verdicts per shard in the multi-thread run (also
-    /// deterministic).
-    pub shard_allowed: Vec<u64>,
-    /// Sampled per-check wall-clock latency of the multi-thread run,
-    /// pooled across shards (nanoseconds; every
-    /// [`draco::workloads::replay::LATENCY_SAMPLE_INTERVAL`]th check).
-    /// Defaults to empty when parsing pre-v3 reports.
-    #[serde(default)]
-    pub check_latency_ns: Histogram,
-}
-
-/// One key mix's thread-shared scaling measurement (schema v4): N
-/// worker threads of a single [`draco::core::SharedDracoProcess`]
-/// against the 1-worker rate of the same shared code path.
+/// One named measurement of a report.
 ///
-/// The contention counters come from the N-worker run's merged checker
-/// section. They are interleaving-dependent (unlike everything in
-/// [`ThroughputReport::metrics`]), which is why this section carries
-/// them itself and is excluded from the deterministic registry.
+/// Names are `<section>.<measure>`: the section is a replay backend
+/// label (`draco-sw`, `draco-batch`, …), `shared.<mix>`, `dag`,
+/// `timeseries` or `service`. The unit is one of `checks/s`, `x` (a
+/// same-run speedup), `ratio`, `count` and `ns`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SharedThroughput {
-    /// Key mix label (`skewed` or `uniform`).
-    pub mix: String,
-    /// Worker-thread count of the multi-worker run.
-    pub threads: u64,
-    /// Checks/second with one worker on the shared process.
-    pub single_thread_checks_per_sec: f64,
-    /// Aggregate checks/second with `threads` workers on the shared
-    /// process.
-    pub multi_thread_checks_per_sec: f64,
-    /// Multi-worker over single-worker throughput. Hardware-dependent:
-    /// near-linear on enough free cores, ~1.0 on a single-CPU host.
-    pub scaling: f64,
-    /// Fraction of measured checks the shared SPT/VAT absorbed.
-    pub cache_hit_rate: f64,
-    /// Seqlock read retries across all workers of the multi-worker run.
-    pub seqlock_retries: u64,
-    /// Miss-path lock waits across all workers.
-    pub lock_waits: u64,
-    /// Validation races lost (another worker validated the same
-    /// argument set first).
-    pub insert_races_lost: u64,
+pub struct Series {
+    /// `<section>.<measure>`, e.g. `draco-sw.single_checks_per_sec`.
+    pub name: String,
+    /// Unit of `value`.
+    pub unit: String,
+    /// The measurement; always finite.
+    pub value: f64,
 }
 
-/// The batched check path's measurement (schema v5): the draco-batch
-/// backend over the same workload/seed as the scalar backends, plus the
-/// key headline number — its single-thread rate relative to the **same
-/// run's** scalar draco-sw rate (cross-run comparisons would fold host
-/// noise into the speedup).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct BatchThroughput {
-    /// Requests per `syscall_batch` call.
-    pub batch: u64,
-    /// Checks/second with one shard on one thread.
-    pub single_thread_checks_per_sec: f64,
-    /// Aggregate checks/second across all shards.
-    pub multi_thread_checks_per_sec: f64,
-    /// Batch single-thread rate over the same run's scalar draco-sw
-    /// single-thread rate.
-    pub speedup_vs_scalar_single: f64,
-    /// Fraction of measured checks the SPT/VAT absorbed (identical to
-    /// the scalar draco-sw rate on the same seed).
-    pub cache_hit_rate: f64,
-    /// Measured checks per shard in the multi-thread run
-    /// (deterministic).
-    pub shard_checks: Vec<u64>,
-    /// Allowed verdicts per shard in the multi-thread run (identical to
-    /// scalar draco-sw — the differential tests pin this).
-    pub shard_allowed: Vec<u64>,
-    /// Sampled per-check wall-clock latency of the multi-thread run
-    /// (nanoseconds; one sample per sampled batch, batch wall time over
-    /// batch length).
-    #[serde(default)]
-    pub check_latency_ns: Histogram,
-    /// Batches executed across both runs (from the merged checker
-    /// section of the batch runs).
-    pub batches: u64,
-    /// Software prefetches issued before probe passes.
-    pub prefetch_issued: u64,
-    /// Misses resolved by an earlier in-batch validation of the same
-    /// key instead of a second filter run.
-    pub miss_dedup_hits: u64,
+/// The value of the series called `name`, if present.
+pub(crate) fn series_value(series: &[Series], name: &str) -> Option<f64> {
+    series.iter().find(|s| s.name == name).map(|s| s.value)
 }
 
-/// The specializing-compiler measurement (schema v6): raw filter-engine
-/// rates on a **deny-heavy** stream — the workload's trace with every
-/// argument value perturbed outside the recorded whitelists, so each
-/// check would miss the VAT and fall through to the filter engine. This
-/// is the regime the decision DAG targets: the cached fast path never
-/// absorbs the check, and the engine itself is the whole cost.
-///
-/// All three engines are driven directly (no SPT/VAT in front), over the
-/// identical stream, in the same process — so the speedups compare
-/// engines, not runs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct DagThroughput {
-    /// Checks per engine in the measured pass.
-    pub checks: u64,
-    /// Fraction of checks denied (deterministic; near 1.0 for
-    /// argument-checking profiles — the stream is built to miss).
-    pub deny_rate: f64,
-    /// cBPF reference interpreter checks/second.
-    pub interp_checks_per_sec: f64,
-    /// Pre-decoded cBPF executor checks/second.
-    pub compiled_checks_per_sec: f64,
-    /// Decision-DAG checks/second.
-    pub dag_checks_per_sec: f64,
-    /// DAG rate over the interpreter rate (the headline number; the
-    /// acceptance floor is 2×).
-    pub speedup_vs_interp: f64,
-    /// DAG rate over the pre-decoded executor rate.
-    pub speedup_vs_compiled: f64,
-    /// Total DAG nodes across the profile's filter chunks.
-    pub nodes: u64,
-    /// Fallback leaves (paths the specializer could not close).
-    pub fallback_nodes: u64,
-    /// Dispatch-table entries (distinct specialized syscall numbers).
-    pub table_entries: u64,
-    /// Table entries whose subgraph is fallback-free.
-    pub closed_entries: u64,
-}
+const RATE: &str = "checks/s";
+const SPEEDUP: &str = "x";
+const RATIO: &str = "ratio";
+const COUNT: &str = "count";
+const NS: &str = "ns";
 
-/// The live-telemetry measurement (schema v7): a rounds-sliced
-/// deny-heavy replay of the draco-sw backend with a [`MetricsWindow`]
-/// pump and an attached audit ring — the same machinery behind
-/// `dracoctl top`/`audit`. Every 8th measured request is perturbed into
-/// a guaranteed denial, so the section exercises (and pins, via the
-/// accounting invariant `audit_published + audit_dropped == denials`)
-/// the denial-audit stream under load. The full interval-by-interval
-/// window dump is not embedded here — `repro throughput --timeseries
-/// PATH` writes it as a standalone `draco-timeseries/v1` document.
-///
-/// [`MetricsWindow`]: draco::obs::MetricsWindow
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TimeseriesThroughput {
-    /// Schema tag of the window dump (`draco-timeseries/v1`).
-    pub schema: String,
-    /// Rounds the measured region was sliced into (one window interval
-    /// each).
-    pub rounds: u64,
-    /// Every Nth measured request perturbed into a denial.
-    pub deny_every: u64,
-    /// Intervals held in the window ring at the end of the run.
-    pub intervals: u64,
-    /// Intervals pushed over the run (equals `rounds`).
-    pub intervals_pushed: u64,
-    /// Intervals lost to window wraparound (zero — the section sizes
-    /// the ring to hold every round).
-    pub intervals_dropped: u64,
-    /// Measured checks across all shards.
-    pub checks: u64,
-    /// Filter-path denials (registry counter — the audit accounting
-    /// below must add up to exactly this).
-    pub denials: u64,
-    /// Denial events published into the audit ring.
-    pub audit_published: u64,
-    /// Denial events dropped by the ring (full or rate-limited), still
-    /// explicitly counted.
-    pub audit_dropped: u64,
-    /// Wall-clock checks/second of the live replay (single-threaded,
-    /// interleaved shards — not comparable to the backend rates above).
-    pub checks_per_sec: f64,
-    /// Fraction of measured checks the SPT/VAT absorbed.
-    pub cache_hit_rate: f64,
-    /// Fraction of measured checks denied (deterministic).
-    pub deny_rate: f64,
+/// A pusher for the series of one section: `put(measure, unit, value)`
+/// appends `<prefix>.<measure>`, clamping a non-finite value to zero.
+fn section<'a>(out: &'a mut Vec<Series>, prefix: &'a str) -> impl FnMut(&str, &str, f64) + 'a {
+    move |measure, unit, value| {
+        out.push(Series {
+            name: format!("{prefix}.{measure}"),
+            unit: unit.to_owned(),
+            value: finite_or_zero(value),
+        });
+    }
 }
 
 /// The full report `repro throughput` prints and writes.
@@ -301,41 +142,20 @@ pub struct ThroughputReport {
     pub seed: u64,
     /// Shard count of the multi-thread runs.
     pub shards: u64,
-    /// Per-backend measurements, in [`ReplayBackend::ALL`] order.
-    pub backends: Vec<BackendThroughput>,
+    /// Every measurement, in the order the harness took them.
+    pub series: Vec<Series>,
     /// Merged observability registry of every backend's multi-thread
     /// replay: the `replay` section covers all backends' measured
     /// checks; the `checker`/`cuckoo`/`vat` sections come from the
     /// Draco shards (the Seccomp backends have no tables to feed).
     /// Deterministic for a given `(workload, seed, shards)`.
     pub metrics: MetricsRegistry,
-    /// Thread-shared SPT/VAT scaling (one entry per key mix, in
-    /// [`KeyMix::ALL`] order). Empty when parsing pre-v4 reports.
-    #[serde(default)]
-    pub shared_threads: Vec<SharedThroughput>,
-    /// Batched check path measurement. `None` when parsing pre-v5
-    /// reports (and omitted from the JSON entirely when absent).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub batch: Option<BatchThroughput>,
-    /// Deny-heavy filter-engine comparison. `None` when parsing pre-v6
-    /// reports (and omitted from the JSON entirely when absent).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub dag: Option<DagThroughput>,
-    /// Live-telemetry (window + audit) measurement. `None` when parsing
-    /// pre-v7 reports (and omitted from the JSON entirely when absent).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub timeseries: Option<TimeseriesThroughput>,
-    /// Multi-tenant admission-service churn measurement (`dracod`).
-    /// `None` when parsing pre-v8 reports (and omitted from the JSON
-    /// entirely when absent).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub service: Option<ServiceThroughput>,
 }
 
 impl ThroughputReport {
-    /// The entry for a backend label, if present.
-    pub fn backend(&self, label: &str) -> Option<&BackendThroughput> {
-        self.backends.iter().find(|b| b.backend == label)
+    /// The value of the series called `name`, if present.
+    pub fn value(&self, name: &str) -> Option<f64> {
+        series_value(&self.series, name)
     }
 }
 
@@ -352,63 +172,68 @@ fn finite_or_zero(rate: f64) -> f64 {
     }
 }
 
-fn summarize(single: &ReplayReport, multi: &ReplayReport) -> BackendThroughput {
-    let st = finite_or_zero(single.checks_per_sec());
-    let mt = finite_or_zero(multi.checks_per_sec());
-    BackendThroughput {
-        backend: single.backend.label().to_owned(),
-        single_thread_checks_per_sec: st,
-        multi_thread_checks_per_sec: mt,
-        parallel_speedup: if st > 0.0 {
-            finite_or_zero(mt / st)
-        } else {
-            0.0
-        },
-        cache_hit_rate: finite_or_zero(multi.cache_hit_rate()),
-        shard_checks: multi.shard_checks(),
-        shard_allowed: multi.shards.iter().map(|s| s.allowed).collect(),
-        check_latency_ns: multi.latency_hist(),
+/// `num / den`, or zero when the denominator measured nothing.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
     }
 }
 
-/// The shared-process scaling section: for each key mix, a 1-worker and
-/// a `cfg.shared_threads`-worker run of the same shared code path.
-fn run_shared_section(spec: &WorkloadSpec, cfg: &ThroughputConfig) -> Vec<SharedThroughput> {
-    KeyMix::ALL
-        .iter()
-        .map(|&mix| {
-            let base = SharedReplayConfig {
-                threads: 1,
-                ops_per_thread: cfg.ops_per_shard,
-                warmup_ops: cfg.warmup_ops,
-                base_seed: cfg.seed,
-                mix,
-            };
-            let single = replay_shared(spec, ProfileKind::SyscallComplete, &base);
-            let multi = replay_shared(
-                spec,
-                ProfileKind::SyscallComplete,
-                &SharedReplayConfig {
-                    threads: cfg.shared_threads,
-                    ..base
-                },
-            );
-            let st = finite_or_zero(single.checks_per_sec());
-            let mt = finite_or_zero(multi.checks_per_sec());
-            let c = &multi.metrics.checker;
-            SharedThroughput {
-                mix: mix.label().to_owned(),
-                threads: cfg.shared_threads as u64,
-                single_thread_checks_per_sec: st,
-                multi_thread_checks_per_sec: mt,
-                scaling: if st > 0.0 { finite_or_zero(mt / st) } else { 0.0 },
-                cache_hit_rate: finite_or_zero(multi.cache_hit_rate()),
-                seqlock_retries: c.seqlock_retries,
-                lock_waits: c.vat_lock_waits,
-                insert_races_lost: c.insert_races_lost,
-            }
-        })
-        .collect()
+/// The series of one replay backend: one-shard and N-shard rates, their
+/// ratio, the N-shard cache hit rate and the p50/p99 upper bounds of its
+/// sampled per-check latency (every
+/// [`draco::workloads::replay::LATENCY_SAMPLE_INTERVAL`]th check; zero
+/// when nothing was sampled).
+fn push_backend(out: &mut Vec<Series>, single: &ReplayReport, multi: &ReplayReport) {
+    let mut put = section(out, single.backend.label());
+    let (st, mt) = (single.checks_per_sec(), multi.checks_per_sec());
+    put("single_checks_per_sec", RATE, st);
+    put("multi_checks_per_sec", RATE, mt);
+    put("parallel_speedup", SPEEDUP, ratio(mt, st));
+    put("cache_hit_rate", RATIO, multi.cache_hit_rate());
+    let latency = multi.latency_hist();
+    put("latency_ns_p50", NS, latency.p50().unwrap_or(0) as f64);
+    put("latency_ns_p99", NS, latency.p99().unwrap_or(0) as f64);
+}
+
+/// The shared-process scaling series (`shared.<mix>.*`): for each key
+/// mix, a 1-worker and a `cfg.shared_threads`-worker run of the same
+/// shared code path. The contention counters come from the N-worker
+/// run and depend on the interleaving, which is why they are series and
+/// not part of the deterministic registry.
+fn run_shared_section(spec: &WorkloadSpec, cfg: &ThroughputConfig, out: &mut Vec<Series>) {
+    for mix in KeyMix::ALL {
+        let base = SharedReplayConfig {
+            threads: 1,
+            ops_per_thread: cfg.ops_per_shard,
+            warmup_ops: cfg.warmup_ops,
+            base_seed: cfg.seed,
+            mix,
+        };
+        let single = replay_shared(spec, ProfileKind::SyscallComplete, &base);
+        let multi = replay_shared(
+            spec,
+            ProfileKind::SyscallComplete,
+            &SharedReplayConfig {
+                threads: cfg.shared_threads,
+                ..base
+            },
+        );
+        let (st, mt) = (single.checks_per_sec(), multi.checks_per_sec());
+        let c = &multi.metrics.checker;
+        let prefix = format!("shared.{}", mix.label());
+        let mut put = section(out, &prefix);
+        put("threads", COUNT, cfg.shared_threads as f64);
+        put("single_checks_per_sec", RATE, st);
+        put("multi_checks_per_sec", RATE, mt);
+        put("scaling", SPEEDUP, ratio(mt, st));
+        put("cache_hit_rate", RATIO, multi.cache_hit_rate());
+        put("seqlock_retries", COUNT, c.seqlock_retries as f64);
+        put("lock_waits", COUNT, c.vat_lock_waits as f64);
+        put("insert_races_lost", COUNT, c.insert_races_lost as f64);
+    }
 }
 
 /// Runs the harness: for each backend, one single-shard replay and one
@@ -422,8 +247,8 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
 }
 
 /// Like [`run_throughput`], but also returns the interval-by-interval
-/// window dump behind the report's `timeseries` summary section —
-/// the `repro throughput --timeseries PATH` payload.
+/// window dump behind the report's `timeseries.*` series — the `repro
+/// throughput --timeseries PATH` payload.
 ///
 /// # Panics
 ///
@@ -468,32 +293,29 @@ fn run_throughput_inner(
         shards: cfg.shards,
         ..base
     };
+    let mut series = Vec::new();
     let mut metrics = MetricsRegistry::default();
     let mut spans = Vec::new();
-    let backends: Vec<BackendThroughput> = ReplayBackend::ALL
-        .iter()
-        .map(|&backend| {
-            let single = replay_parallel(&spec, kind, backend, &base);
-            // Only the Draco backend has staged pipeline spans; tracing
-            // the Seccomp runs would yield nothing, so don't pay for it.
-            let multi = match trace {
-                Some(tc) if backend == ReplayBackend::DracoSw => {
-                    let (multi, traced) =
-                        replay_parallel_traced(&spec, kind, backend, &multi_cfg, tc);
-                    spans = traced;
-                    multi
-                }
-                _ => replay_parallel(&spec, kind, backend, &multi_cfg),
-            };
-            metrics.merge(&multi.metrics);
-            summarize(&single, &multi)
-        })
-        .collect();
-    let shared_threads = run_shared_section(&spec, cfg);
-    let batch = run_batch_section(&spec, cfg, &base, &multi_cfg, &backends, &mut metrics);
-    let dag = run_dag_section(&spec, cfg);
-    let (timeseries, dump) = run_timeseries_section(&spec, cfg);
-    let service = run_service_section(cfg);
+    for backend in ReplayBackend::ALL {
+        let single = replay_parallel(&spec, kind, backend, &base);
+        // Only the Draco backend has staged pipeline spans; tracing the
+        // Seccomp runs would yield nothing, so don't pay for it.
+        let multi = match trace {
+            Some(tc) if backend == ReplayBackend::DracoSw => {
+                let (multi, traced) = replay_parallel_traced(&spec, kind, backend, &multi_cfg, tc);
+                spans = traced;
+                multi
+            }
+            _ => replay_parallel(&spec, kind, backend, &multi_cfg),
+        };
+        metrics.merge(&multi.metrics);
+        push_backend(&mut series, &single, &multi);
+    }
+    run_shared_section(&spec, cfg, &mut series);
+    run_batch_section(&spec, cfg, &base, &multi_cfg, &mut series, &mut metrics);
+    run_dag_section(&spec, cfg, &mut series);
+    let dump = run_timeseries_section(&spec, cfg, &mut series);
+    run_service_section(cfg, &mut series);
     let report = ThroughputReport {
         schema: SCHEMA.to_owned(),
         workload: cfg.workload.clone(),
@@ -501,36 +323,56 @@ fn run_throughput_inner(
         warmup_ops: cfg.warmup_ops as u64,
         seed: cfg.seed,
         shards: cfg.shards as u64,
-        backends,
+        series,
         metrics,
-        shared_threads,
-        batch: Some(batch),
-        dag: Some(dag),
-        timeseries: Some(timeseries),
-        service: Some(service),
     };
     (report, spans, dump)
 }
 
-/// The service section (schema v8): the `dracod` churn scenario sized
-/// to the configured op budget — tenant arrivals and departures, fork
-/// storms, admitted and refused hot-reloads, all multiplexed through
-/// one admission service. Counters, stats, and the decision digest are
-/// deterministic for a given `(ops_per_shard, seed, batch)`; only the
-/// wall-clock rates and latency quantiles vary run to run.
-fn run_service_section(cfg: &ThroughputConfig) -> ServiceThroughput {
+/// The `service.*` series: the `dracod` churn scenario sized to the
+/// configured op budget — tenant arrivals and departures, fork storms,
+/// admitted and refused hot-reloads, all multiplexed through one
+/// admission service. Counters are deterministic for a given
+/// `(ops_per_shard, seed, batch)`; only the wall-clock rate and latency
+/// quantiles vary run to run. The decision digest, a 64-bit witness an
+/// `f64` cannot hold exactly, is left to `dracoctl bench-service`.
+fn run_service_section(cfg: &ThroughputConfig, out: &mut Vec<Series>) {
     let churn = ChurnConfig::for_ops(cfg.ops_per_shard, cfg.seed, cfg.batch);
-    run_churn(&churn).section()
+    let s = run_churn(&churn).section();
+    let mut put = section(out, "service");
+    for (measure, value) in [
+        ("tenants", s.tenants),
+        ("rounds", s.rounds),
+        ("forks", s.forks),
+        ("reloads_permitted", s.reloads_permitted),
+        ("reloads_refused", s.reloads_refused),
+        ("retired", s.retired),
+        ("checks", s.checks),
+        ("denials", s.denials),
+        ("audit_published", s.audit_published),
+        ("audit_dropped", s.audit_dropped),
+    ] {
+        put(measure, COUNT, value as f64);
+    }
+    put("cache_hit_rate", RATIO, s.cache_hit_rate);
+    put("deny_rate", RATIO, s.deny_rate);
+    put("checks_per_sec", RATE, s.checks_per_sec);
+    put("p50_latency_ns", NS, s.p50_latency_ns as f64);
+    put("p95_latency_ns", NS, s.p95_latency_ns as f64);
+    put("p99_latency_ns", NS, s.p99_latency_ns as f64);
+    put("intervals_pushed", COUNT, s.intervals_pushed as f64);
 }
 
-/// The timeseries section (schema v7): one deny-heavy live replay of
-/// the draco-sw backend, rounds-sliced through the window pump with an
-/// unthrottled audit ring attached. Two shards, interleaved on one
-/// thread — deterministic counters for a given `(workload, seed)`.
+/// The `timeseries.*` series: one deny-heavy live replay of the draco-sw
+/// backend, rounds-sliced through the window pump with an unthrottled
+/// audit ring attached. Two shards, interleaved on one thread —
+/// deterministic counters for a given `(workload, seed)`. Returns the
+/// window dump (`draco-timeseries/v1`).
 fn run_timeseries_section(
     spec: &WorkloadSpec,
     cfg: &ThroughputConfig,
-) -> (TimeseriesThroughput, TimeseriesDump) {
+    out: &mut Vec<Series>,
+) -> TimeseriesDump {
     const ROUNDS: usize = 16;
     const DENY_EVERY: usize = 8;
     let live_cfg = LiveConfig {
@@ -557,59 +399,61 @@ fn run_timeseries_section(
     );
     let checks = live.total_checks();
     let denials = live.metrics.checker.denials;
-    // The tentpole invariant: the stream's losses are accounted, never
-    // silent. Hard assert — a mismatch is a telemetry bug, not noise.
+    // The stream's losses are accounted, never silent. Hard assert — a
+    // mismatch is a telemetry bug, not noise.
     assert_eq!(
         live.audit_published + live.audit_dropped,
         denials,
         "audit accounting must cover every denial"
     );
-    let summary = TimeseriesThroughput {
-        schema: live.timeseries.schema.clone(),
-        rounds: live.rounds as u64,
-        deny_every: DENY_EVERY as u64,
-        intervals: live.timeseries.intervals.len() as u64,
-        intervals_pushed: live.timeseries.intervals_pushed,
-        intervals_dropped: live.timeseries.intervals_dropped,
-        checks,
-        denials,
-        audit_published: live.audit_published,
-        audit_dropped: live.audit_dropped,
-        checks_per_sec: if live.wall_ns > 0 {
-            finite_or_zero(checks as f64 * 1e9 / live.wall_ns as f64)
-        } else {
-            0.0
-        },
-        cache_hit_rate: if checks > 0 {
-            finite_or_zero(live.metrics.replay.cache_hits as f64 / checks as f64)
-        } else {
-            0.0
-        },
-        deny_rate: if checks > 0 {
-            finite_or_zero(denials as f64 / checks as f64)
-        } else {
-            0.0
-        },
-    };
-    (summary, live.timeseries)
+    let ts = &live.timeseries;
+    let mut put = section(out, "timeseries");
+    for (measure, value) in [
+        ("rounds", live.rounds as u64),
+        ("deny_every", DENY_EVERY as u64),
+        ("intervals", ts.intervals.len() as u64),
+        ("intervals_pushed", ts.intervals_pushed),
+        ("intervals_dropped", ts.intervals_dropped),
+        ("checks", checks),
+        ("denials", denials),
+        ("audit_published", live.audit_published),
+        ("audit_dropped", live.audit_dropped),
+    ] {
+        put(measure, COUNT, value as f64);
+    }
+    put(
+        "checks_per_sec",
+        RATE,
+        ratio(checks as f64 * 1e9, live.wall_ns as f64),
+    );
+    put(
+        "cache_hit_rate",
+        RATIO,
+        ratio(live.metrics.replay.cache_hits as f64, checks as f64),
+    );
+    put("deny_rate", RATIO, ratio(denials as f64, checks as f64));
+    live.timeseries
 }
 
-/// The dag section (schema v6): every filter engine timed over a
-/// deny-heavy stream built by perturbing the trace's argument values
-/// outside the whitelists the profile recorded from that same trace.
+/// The `dag.*` series: every filter engine timed over a deny-heavy
+/// stream built by perturbing the trace's argument values outside the
+/// whitelists the profile recorded from that same trace, so each check
+/// would miss the VAT and the engine itself is the whole cost. All three
+/// engines are driven directly (no SPT/VAT in front), over the identical
+/// stream, in the same process — the speedups compare engines, not runs.
 ///
 /// # Panics
 ///
 /// Panics if the engines ever disagree on a verdict — the differential
 /// suites prove they cannot, so a disagreement here is a harness bug.
-fn run_dag_section(spec: &WorkloadSpec, cfg: &ThroughputConfig) -> DagThroughput {
+fn run_dag_section(spec: &WorkloadSpec, cfg: &ThroughputConfig, out: &mut Vec<Series>) {
     let trace = TraceGenerator::new(spec, cfg.seed).generate(cfg.ops_per_shard);
     let profile = profile_for_trace(&trace, ProfileKind::SyscallComplete);
     // Linear layout, matching the seccomp replay backends (and real
     // kernel filters — the binary-tree layout is the §XII libseccomp
     // optimization the `repro ablate-opt` study covers separately).
-    let interp = compile_stacked(&profile, FilterLayout::Linear)
-        .expect("generated profiles always compile");
+    let interp =
+        compile_stacked(&profile, FilterLayout::Linear).expect("generated profiles always compile");
     let compiled = interp.compiled();
     let dag = compile_dag(&profile).expect("generated profiles always compile");
     // Perturb every argument outside the recorded whitelists: XOR with a
@@ -638,12 +482,7 @@ fn run_dag_section(spec: &WorkloadSpec, cfg: &ThroughputConfig) -> DagThroughput
             }
         }
         let elapsed = start.elapsed().as_secs_f64();
-        let rate = if elapsed > 0.0 {
-            stream.len() as f64 / elapsed
-        } else {
-            0.0
-        };
-        (finite_or_zero(rate), denied)
+        (ratio(stream.len() as f64, elapsed), denied)
     };
     let (interp_rate, interp_denied) = time_engine(&mut |data| {
         interp
@@ -668,74 +507,74 @@ fn run_dag_section(spec: &WorkloadSpec, cfg: &ThroughputConfig) -> DagThroughput
     assert_eq!(interp_denied, compiled_denied, "engines must agree");
     assert_eq!(interp_denied, dag_denied, "engines must agree");
     let stats = dag.stats();
-    DagThroughput {
-        checks: stream.len() as u64,
-        deny_rate: finite_or_zero(interp_denied as f64 / stream.len() as f64),
-        interp_checks_per_sec: interp_rate,
-        compiled_checks_per_sec: compiled_rate,
-        dag_checks_per_sec: dag_rate,
-        speedup_vs_interp: if interp_rate > 0.0 {
-            finite_or_zero(dag_rate / interp_rate)
-        } else {
-            0.0
-        },
-        speedup_vs_compiled: if compiled_rate > 0.0 {
-            finite_or_zero(dag_rate / compiled_rate)
-        } else {
-            0.0
-        },
-        nodes: stats.nodes as u64,
-        fallback_nodes: stats.fallback as u64,
-        table_entries: stats.table_entries as u64,
-        closed_entries: stats.closed_entries as u64,
-    }
+    let mut put = section(out, "dag");
+    put("checks", COUNT, stream.len() as f64);
+    put(
+        "deny_rate",
+        RATIO,
+        ratio(interp_denied as f64, stream.len() as f64),
+    );
+    put("interp_checks_per_sec", RATE, interp_rate);
+    put("compiled_checks_per_sec", RATE, compiled_rate);
+    put("dag_checks_per_sec", RATE, dag_rate);
+    put("speedup_vs_interp", SPEEDUP, ratio(dag_rate, interp_rate));
+    put(
+        "speedup_vs_compiled",
+        SPEEDUP,
+        ratio(dag_rate, compiled_rate),
+    );
+    put("nodes", COUNT, stats.nodes as f64);
+    put("fallback_nodes", COUNT, stats.fallback as f64);
+    put("table_entries", COUNT, stats.table_entries as f64);
+    put("closed_entries", COUNT, stats.closed_entries as f64);
 }
 
-/// The batch section (schema v5): one single-shard and one multi-shard
-/// run of the draco-batch backend, with the speedup computed against the
-/// same run's scalar draco-sw single-thread rate.
+/// The `draco-batch.*` series: the backend series of one single-shard
+/// and one multi-shard draco-batch run, plus the batch size, the batch
+/// counters of both runs and the single-thread speedup over the same
+/// run's scalar `draco-sw` rate (cross-run comparisons would fold host
+/// noise into the speedup).
 fn run_batch_section(
     spec: &WorkloadSpec,
     cfg: &ThroughputConfig,
     base: &ReplayConfig,
     multi_cfg: &ReplayConfig,
-    backends: &[BackendThroughput],
+    out: &mut Vec<Series>,
     metrics: &mut MetricsRegistry,
-) -> BatchThroughput {
+) {
     let backend = ReplayBackend::DracoBatch { batch: cfg.batch };
     let kind = ProfileKind::SyscallComplete;
     let single = replay_parallel(spec, kind, backend, base);
     let multi = replay_parallel(spec, kind, backend, multi_cfg);
-    let st = finite_or_zero(single.checks_per_sec());
-    let scalar_single = backends
-        .iter()
-        .find(|b| b.backend == ReplayBackend::DracoSw.label())
-        .map_or(0.0, |b| b.single_thread_checks_per_sec);
-    let mut batch_counters = single.metrics.checker;
-    batch_counters.merge(&multi.metrics.checker);
+    let scalar_single = series_value(out, "draco-sw.single_checks_per_sec").unwrap_or(0.0);
+    let mut counters = single.metrics.checker;
+    counters.merge(&multi.metrics.checker);
     metrics.merge(&multi.metrics);
-    BatchThroughput {
-        batch: cfg.batch as u64,
-        single_thread_checks_per_sec: st,
-        multi_thread_checks_per_sec: finite_or_zero(multi.checks_per_sec()),
-        speedup_vs_scalar_single: if scalar_single > 0.0 {
-            finite_or_zero(st / scalar_single)
-        } else {
-            0.0
-        },
-        cache_hit_rate: finite_or_zero(multi.cache_hit_rate()),
-        shard_checks: multi.shard_checks(),
-        shard_allowed: multi.shards.iter().map(|s| s.allowed).collect(),
-        check_latency_ns: multi.latency_hist(),
-        batches: batch_counters.batches,
-        prefetch_issued: batch_counters.prefetch_issued,
-        miss_dedup_hits: batch_counters.miss_dedup_hits,
-    }
+    push_backend(out, &single, &multi);
+    let mut put = section(out, backend.label());
+    put("batch", COUNT, cfg.batch as f64);
+    put(
+        "speedup_vs_scalar",
+        SPEEDUP,
+        ratio(single.checks_per_sec(), scalar_single),
+    );
+    put("batches", COUNT, counters.batches as f64);
+    put("prefetch_issued", COUNT, counters.prefetch_issued as f64);
+    put("miss_dedup_hits", COUNT, counters.miss_dedup_hits as f64);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every replay backend label, the batch backend included.
+    const BACKENDS: [&str; 5] = [
+        "seccomp-interp",
+        "seccomp-compiled",
+        "draco-sw",
+        "draco-dag",
+        "draco-batch",
+    ];
 
     fn tiny() -> ThroughputConfig {
         ThroughputConfig {
@@ -749,129 +588,261 @@ mod tests {
         }
     }
 
+    /// The value of a series the report must carry.
+    fn v(report: &ThroughputReport, name: &str) -> f64 {
+        report
+            .value(name)
+            .unwrap_or_else(|| panic!("series `{name}` missing"))
+    }
+
+    /// Series that are a pure function of the configuration: no
+    /// wall-clock time in them, and none from the shared-process runs,
+    /// whose hits and contention depend on the thread interleaving.
+    fn deterministic(report: &ThroughputReport) -> Vec<&Series> {
+        const TIMED: [&str; 3] = ["checks_per_sec", "speedup", "latency"];
+        report
+            .series
+            .iter()
+            .filter(|s| !s.name.starts_with("shared.") && !TIMED.iter().any(|t| s.name.contains(t)))
+            .collect()
+    }
+
+    #[test]
+    fn series_names_are_pinned() {
+        let report = run_throughput(&tiny());
+        let mut names: Vec<&str> = report.series.iter().map(|s| s.name.as_str()).collect();
+        names.sort_unstable();
+        let backend = |label: &str| {
+            [
+                "cache_hit_rate",
+                "latency_ns_p50",
+                "latency_ns_p99",
+                "multi_checks_per_sec",
+                "parallel_speedup",
+                "single_checks_per_sec",
+            ]
+            .map(|m| format!("{label}.{m}"))
+        };
+        let shared = |mix: &str| {
+            [
+                "cache_hit_rate",
+                "insert_races_lost",
+                "lock_waits",
+                "multi_checks_per_sec",
+                "scaling",
+                "seqlock_retries",
+                "single_checks_per_sec",
+                "threads",
+            ]
+            .map(|m| format!("shared.{mix}.{m}"))
+        };
+        let mut expected: Vec<String> = [
+            "dag.checks",
+            "dag.closed_entries",
+            "dag.compiled_checks_per_sec",
+            "dag.dag_checks_per_sec",
+            "dag.deny_rate",
+            "dag.fallback_nodes",
+            "dag.interp_checks_per_sec",
+            "dag.nodes",
+            "dag.speedup_vs_compiled",
+            "dag.speedup_vs_interp",
+            "dag.table_entries",
+            "draco-batch.batch",
+            "draco-batch.batches",
+            "draco-batch.miss_dedup_hits",
+            "draco-batch.prefetch_issued",
+            "draco-batch.speedup_vs_scalar",
+            "service.audit_dropped",
+            "service.audit_published",
+            "service.cache_hit_rate",
+            "service.checks",
+            "service.checks_per_sec",
+            "service.denials",
+            "service.deny_rate",
+            "service.forks",
+            "service.intervals_pushed",
+            "service.p50_latency_ns",
+            "service.p95_latency_ns",
+            "service.p99_latency_ns",
+            "service.reloads_permitted",
+            "service.reloads_refused",
+            "service.retired",
+            "service.rounds",
+            "service.tenants",
+            "timeseries.audit_dropped",
+            "timeseries.audit_published",
+            "timeseries.cache_hit_rate",
+            "timeseries.checks",
+            "timeseries.checks_per_sec",
+            "timeseries.denials",
+            "timeseries.deny_every",
+            "timeseries.deny_rate",
+            "timeseries.intervals",
+            "timeseries.intervals_dropped",
+            "timeseries.intervals_pushed",
+            "timeseries.rounds",
+        ]
+        .map(str::to_owned)
+        .into_iter()
+        .chain(BACKENDS.into_iter().flat_map(backend))
+        .chain(["skewed", "uniform"].into_iter().flat_map(shared))
+        .collect();
+        expected.sort_unstable();
+        assert_eq!(names, expected);
+        for s in &report.series {
+            assert!(s.value.is_finite() && s.value >= 0.0, "{s:?}");
+            assert!(
+                [RATE, SPEEDUP, RATIO, COUNT, NS].contains(&s.unit.as_str()),
+                "{s:?}"
+            );
+        }
+    }
+
     #[test]
     fn report_shape() {
         let report = run_throughput(&tiny());
         assert_eq!(report.schema, SCHEMA);
-        assert_eq!(report.backends.len(), 4);
-        for b in &report.backends {
-            assert_eq!(b.shard_checks, vec![300, 300]);
-            assert!(b.single_thread_checks_per_sec > 0.0);
-            assert!(b.multi_thread_checks_per_sec > 0.0);
+        for label in BACKENDS {
+            assert!(
+                v(&report, &format!("{label}.single_checks_per_sec")) > 0.0,
+                "{label}"
+            );
+            assert!(
+                v(&report, &format!("{label}.multi_checks_per_sec")) > 0.0,
+                "{label}"
+            );
+            // Every backend's multi-thread run sampled its latency.
+            assert!(
+                v(&report, &format!("{label}.latency_ns_p99")) > 0.0,
+                "{label}"
+            );
         }
-        let draco = report.backend("draco-sw").expect("draco-sw present");
-        assert!(draco.cache_hit_rate > 0.5);
-        assert_eq!(report.backend("seccomp-interp").unwrap().cache_hit_rate, 0.0);
-        assert!(report.backend("nope").is_none());
-        // v3: every backend carries a sampled latency histogram
-        // (ceil(300/256) = 2 samples per shard here).
-        for b in &report.backends {
-            assert_eq!(b.check_latency_ns.count(), 4, "{}", b.backend);
+        let hit_rate = v(&report, "draco-sw.cache_hit_rate");
+        assert!(hit_rate > 0.5);
+        assert_eq!(v(&report, "seccomp-interp.cache_hit_rate"), 0.0);
+        assert!(report.value("nope").is_none());
+        // The shared process, per key mix.
+        for mix in KeyMix::ALL {
+            let prefix = format!("shared.{}", mix.label());
+            assert_eq!(v(&report, &format!("{prefix}.threads")), 2.0);
+            assert!(v(&report, &format!("{prefix}.single_checks_per_sec")) > 0.0);
+            assert!(v(&report, &format!("{prefix}.multi_checks_per_sec")) > 0.0);
+            assert!(v(&report, &format!("{prefix}.scaling")) > 0.0);
         }
-        // v4: one shared-process entry per key mix.
-        assert_eq!(report.shared_threads.len(), 2);
-        for (s, mix) in report.shared_threads.iter().zip(KeyMix::ALL) {
-            assert_eq!(s.mix, mix.label());
-            assert_eq!(s.threads, 2);
-            assert!(s.single_thread_checks_per_sec > 0.0, "{}", s.mix);
-            assert!(s.multi_thread_checks_per_sec > 0.0, "{}", s.mix);
-            assert!(s.scaling > 0.0, "{}", s.mix);
-        }
-        let skewed = &report.shared_threads[0];
-        assert!(skewed.cache_hit_rate > 0.5, "shared hot keys re-hit");
-        // v5: the batch section measures the batched path against the
-        // same-seed scalar run.
-        let batch = report.batch.as_ref().expect("v5 reports carry batch");
-        assert_eq!(batch.batch, 32);
-        assert!(batch.single_thread_checks_per_sec > 0.0);
-        assert!(batch.multi_thread_checks_per_sec > 0.0);
-        assert!(batch.speedup_vs_scalar_single > 0.0);
-        assert_eq!(batch.shard_checks, vec![300, 300]);
-        assert_eq!(
-            batch.shard_allowed,
-            report.backend("draco-sw").unwrap().shard_allowed,
-            "batched decisions are identical to scalar"
+        assert!(
+            v(&report, "shared.skewed.cache_hit_rate") > 0.5,
+            "shared hot keys re-hit"
         );
-        assert_eq!(batch.cache_hit_rate, draco.cache_hit_rate);
-        assert!(batch.batches > 0);
-        assert!(batch.prefetch_issued > 0);
-        // v6: the draco-dag backend joins the standard set and agrees
-        // with draco-sw on every deterministic counter.
-        let dag_backend = report.backend("draco-dag").expect("draco-dag present");
-        assert_eq!(dag_backend.shard_allowed, draco.shard_allowed);
-        assert_eq!(dag_backend.cache_hit_rate, draco.cache_hit_rate);
-        // v6: the dag section measures raw engines on a deny-heavy
-        // stream — no cache in front, so denials dominate.
-        let dag = report.dag.as_ref().expect("v6 reports carry dag");
-        assert_eq!(dag.checks, 300);
-        assert!(dag.deny_rate > 0.5, "stream built to miss: {}", dag.deny_rate);
-        assert!(dag.interp_checks_per_sec > 0.0);
-        assert!(dag.compiled_checks_per_sec > 0.0);
-        assert!(dag.dag_checks_per_sec > 0.0);
-        assert!(dag.table_entries > 0);
-        assert!(dag.closed_entries > 0, "specializer closed some syscalls");
-        assert!(dag.nodes > dag.fallback_nodes);
-        // v7: the timeseries section summarizes a live deny-heavy replay
-        // with exact audit accounting.
-        let ts = report.timeseries.as_ref().expect("v7 reports carry timeseries");
-        assert_eq!(ts.schema, "draco-timeseries/v1");
-        assert_eq!(ts.rounds, 16);
-        assert_eq!(ts.intervals_pushed, 16);
-        assert_eq!(ts.intervals_dropped, 0, "ring sized to hold every round");
-        assert_eq!(ts.intervals, 16);
-        assert_eq!(ts.checks, 600, "two shards of 300 measured checks");
-        assert!(ts.denials > 0, "every 8th request perturbed into a denial");
-        assert_eq!(ts.audit_published + ts.audit_dropped, ts.denials);
-        assert!(ts.deny_rate > 0.0 && ts.deny_rate < 0.5);
-        // v8: the service section runs the dracod churn scenario sized
-        // to the op budget (300 ops → the 8-tenant quick schedule).
-        let svc = report.service.as_ref().expect("v8 reports carry service");
-        assert_eq!(svc.schema, "draco-service/v1");
-        assert!(svc.tenants >= 8, "quick schedule admits 8+: {}", svc.tenants);
-        assert_eq!(svc.rounds, 8);
-        assert!(svc.forks > 0, "fork storms fired");
-        assert!(svc.retired > 0, "departures fired");
-        assert!(svc.reloads_permitted > 0, "refinements admitted");
-        assert!(svc.reloads_refused > 0, "relaxations refused");
-        assert!(svc.checks > 0);
-        assert_eq!(svc.audit_published + svc.audit_dropped, svc.denials);
-        assert!(svc.deny_rate > 0.0 && svc.deny_rate < 0.5);
-        assert!(svc.cache_hit_rate > 0.0);
-        assert!(svc.intervals_pushed > 0, "each drain seals a window slot");
-        assert_ne!(svc.decision_digest, 0, "digest witnesses the stream");
+        // The batched path, against the same run's scalar rate.
+        assert_eq!(v(&report, "draco-batch.batch"), 32.0);
+        assert!(v(&report, "draco-batch.speedup_vs_scalar") > 0.0);
+        assert_eq!(v(&report, "draco-batch.cache_hit_rate"), hit_rate);
+        assert!(v(&report, "draco-batch.batches") > 0.0);
+        assert!(v(&report, "draco-batch.prefetch_issued") > 0.0);
+        // The draco-dag backend agrees with draco-sw on its hit rate.
+        assert_eq!(v(&report, "draco-dag.cache_hit_rate"), hit_rate);
+        // Raw engines on a deny-heavy stream: no cache in front, so
+        // denials dominate.
+        assert_eq!(v(&report, "dag.checks"), 300.0);
+        let deny_rate = v(&report, "dag.deny_rate");
+        assert!(deny_rate > 0.5, "stream built to miss: {deny_rate}");
+        assert!(v(&report, "dag.interp_checks_per_sec") > 0.0);
+        assert!(v(&report, "dag.compiled_checks_per_sec") > 0.0);
+        assert!(v(&report, "dag.dag_checks_per_sec") > 0.0);
+        assert!(v(&report, "dag.table_entries") > 0.0);
+        assert!(
+            v(&report, "dag.closed_entries") > 0.0,
+            "specializer closed some syscalls"
+        );
+        assert!(v(&report, "dag.nodes") > v(&report, "dag.fallback_nodes"));
+        // A live deny-heavy replay with exact audit accounting.
+        assert_eq!(v(&report, "timeseries.rounds"), 16.0);
+        assert_eq!(v(&report, "timeseries.intervals_pushed"), 16.0);
+        assert_eq!(
+            v(&report, "timeseries.intervals_dropped"),
+            0.0,
+            "ring sized to hold every round"
+        );
+        assert_eq!(v(&report, "timeseries.intervals"), 16.0);
+        assert_eq!(
+            v(&report, "timeseries.checks"),
+            600.0,
+            "two shards of 300 checks"
+        );
+        let denials = v(&report, "timeseries.denials");
+        assert!(denials > 0.0, "every 8th request perturbed into a denial");
+        assert_eq!(
+            v(&report, "timeseries.audit_published") + v(&report, "timeseries.audit_dropped"),
+            denials
+        );
+        let ts_deny = v(&report, "timeseries.deny_rate");
+        assert!(ts_deny > 0.0 && ts_deny < 0.5);
+        // The dracod churn scenario sized to the op budget (300 ops →
+        // the 8-tenant quick schedule).
+        assert!(
+            v(&report, "service.tenants") >= 8.0,
+            "quick schedule admits 8+"
+        );
+        assert_eq!(v(&report, "service.rounds"), 8.0);
+        for fired in [
+            "forks",
+            "retired",
+            "reloads_permitted",
+            "reloads_refused",
+            "checks",
+        ] {
+            assert!(v(&report, &format!("service.{fired}")) > 0.0, "{fired}");
+        }
+        assert_eq!(
+            v(&report, "service.audit_published") + v(&report, "service.audit_dropped"),
+            v(&report, "service.denials")
+        );
+        let svc_deny = v(&report, "service.deny_rate");
+        assert!(svc_deny > 0.0 && svc_deny < 0.5);
+        assert!(v(&report, "service.cache_hit_rate") > 0.0);
+        assert!(
+            v(&report, "service.intervals_pushed") > 0.0,
+            "each drain seals a slot"
+        );
     }
 
     #[test]
     fn service_section_deterministic_fields_are_stable() {
         let a = run_throughput(&tiny());
         let b = run_throughput(&tiny());
-        let (x, y) = (a.service.unwrap(), b.service.unwrap());
-        assert_eq!(x.tenants, y.tenants);
-        assert_eq!(x.forks, y.forks);
-        assert_eq!(x.retired, y.retired);
-        assert_eq!(x.reloads_permitted, y.reloads_permitted);
-        assert_eq!(x.reloads_refused, y.reloads_refused);
-        assert_eq!(x.checks, y.checks);
-        assert_eq!(x.denials, y.denials);
-        assert_eq!(x.audit_published, y.audit_published);
-        assert_eq!(x.cache_hit_rate, y.cache_hit_rate);
-        assert_eq!(x.decision_digest, y.decision_digest);
+        let service = |r: &ThroughputReport| -> Vec<Series> {
+            deterministic(r)
+                .into_iter()
+                .filter(|s| s.name.starts_with("service."))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(service(&a).len(), 13);
+        assert_eq!(service(&a), service(&b));
     }
 
     #[test]
     fn timeseries_dump_reconstructs_the_section_totals() {
         let (report, _, dump) = run_throughput_full(&tiny(), None);
-        let ts = report.timeseries.as_ref().unwrap();
         assert_eq!(dump.schema, "draco-timeseries/v1");
-        assert_eq!(dump.intervals.len() as u64, ts.intervals);
-        assert_eq!(dump.intervals_pushed, ts.intervals_pushed);
-        let replayed: u64 = dump.intervals.iter().map(|s| s.delta.replay.checks).sum();
-        assert_eq!(replayed, ts.checks, "window deltas cover every check");
-        let denied: u64 = dump.intervals.iter().map(|s| s.delta.checker.denials).sum();
-        assert_eq!(denied, ts.denials, "window deltas cover every denial");
         assert_eq!(
-            dump.intervals.last().unwrap().cumulative.checker.denials,
-            ts.denials
+            dump.intervals.len() as f64,
+            v(&report, "timeseries.intervals")
+        );
+        assert_eq!(
+            dump.intervals_pushed as f64,
+            v(&report, "timeseries.intervals_pushed")
+        );
+        let checks = v(&report, "timeseries.checks");
+        let denials = v(&report, "timeseries.denials");
+        let replayed: u64 = dump.intervals.iter().map(|s| s.delta.replay.checks).sum();
+        assert_eq!(replayed as f64, checks, "window deltas cover every check");
+        let denied: u64 = dump.intervals.iter().map(|s| s.delta.checker.denials).sum();
+        assert_eq!(denied as f64, denials, "window deltas cover every denial");
+        assert_eq!(
+            dump.intervals.last().unwrap().cumulative.checker.denials as f64,
+            denials
         );
         // The dump is a valid draco-timeseries/v1 document.
         let json = serde_json::to_string(&dump).expect("serializes");
@@ -887,11 +858,14 @@ mod tests {
         };
         let (report, spans) = run_throughput_traced(&tiny(), &trace);
         assert_eq!(report.schema, SCHEMA);
-        assert_eq!(report.backends.len(), 4);
+        let untraced = run_throughput(&tiny());
+        let names = |r: &ThroughputReport| -> Vec<String> {
+            r.series.iter().map(|s| s.name.clone()).collect()
+        };
+        assert_eq!(names(&report), names(&untraced));
         assert!(!spans.is_empty(), "draco-sw multi run produced spans");
         // Spans come from the multi-thread run: both shards appear.
-        let shards: std::collections::BTreeSet<u32> =
-            spans.iter().map(|s| s.shard).collect();
+        let shards: std::collections::BTreeSet<u32> = spans.iter().map(|s| s.shard).collect();
         assert_eq!(shards.len(), 2, "{shards:?}");
         // At least the acceptance-criteria floor of distinct stages.
         let stages: std::collections::BTreeSet<&str> =
@@ -900,73 +874,18 @@ mod tests {
     }
 
     #[test]
-    fn pre_v3_reports_without_latency_still_parse() {
-        let report = run_throughput(&tiny());
-        let mut json = serde_json::to_string(&report).expect("serializes");
-        // Simulate a v2 report: no check_latency_ns field at all.
-        json = json.replace("\"check_latency_ns\"", "\"unknown_field\"");
-        let back: ThroughputReport = serde_json::from_str(&json).expect("parses");
-        for b in &back.backends {
-            assert!(b.check_latency_ns.is_empty(), "defaulted");
-        }
-    }
-
-    #[test]
-    fn pre_v4_reports_without_shared_section_still_parse() {
-        let report = run_throughput(&tiny());
-        let mut json = serde_json::to_string(&report).expect("serializes");
-        json = json.replace("\"shared_threads\"", "\"renamed_away\"");
-        let back: ThroughputReport = serde_json::from_str(&json).expect("parses");
-        assert!(back.shared_threads.is_empty(), "defaulted");
-    }
-
-    #[test]
-    fn pre_v5_reports_without_batch_section_still_parse() {
-        let report = run_throughput(&tiny());
-        let mut json = serde_json::to_string(&report).expect("serializes");
-        json = json.replace("\"batch\":", "\"renamed_away\":");
-        let back: ThroughputReport = serde_json::from_str(&json).expect("parses");
-        assert!(back.batch.is_none(), "defaulted");
-    }
-
-    #[test]
-    fn pre_v6_reports_without_dag_section_still_parse() {
-        let report = run_throughput(&tiny());
-        let mut json = serde_json::to_string(&report).expect("serializes");
-        json = json.replace("\"dag\":", "\"renamed_away\":");
-        let back: ThroughputReport = serde_json::from_str(&json).expect("parses");
-        assert!(back.dag.is_none(), "defaulted");
-    }
-
-    #[test]
-    fn pre_v7_reports_without_timeseries_section_still_parse() {
-        let report = run_throughput(&tiny());
-        let mut json = serde_json::to_string(&report).expect("serializes");
-        json = json.replace("\"timeseries\":", "\"renamed_away\":");
-        let back: ThroughputReport = serde_json::from_str(&json).expect("parses");
-        assert!(back.timeseries.is_none(), "defaulted");
-    }
-
-    #[test]
-    fn pre_v8_reports_without_service_section_still_parse() {
-        let report = run_throughput(&tiny());
-        let mut json = serde_json::to_string(&report).expect("serializes");
-        json = json.replace("\"service\":", "\"renamed_away\":");
-        let back: ThroughputReport = serde_json::from_str(&json).expect("parses");
-        assert!(back.service.is_none(), "defaulted");
-    }
-
-    #[test]
     fn dag_section_deterministic_fields_are_stable() {
         let a = run_throughput(&tiny());
         let b = run_throughput(&tiny());
-        let (x, y) = (a.dag.unwrap(), b.dag.unwrap());
-        assert_eq!(x.checks, y.checks);
-        assert_eq!(x.deny_rate, y.deny_rate);
-        assert_eq!(x.nodes, y.nodes);
-        assert_eq!(x.fallback_nodes, y.fallback_nodes);
-        assert_eq!(x.table_entries, y.table_entries);
-        assert_eq!(x.closed_entries, y.closed_entries);
+        let dag = |r: &ThroughputReport| -> Vec<Series> {
+            deterministic(r)
+                .into_iter()
+                .filter(|s| s.name.starts_with("dag."))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(dag(&a).len(), 6);
+        assert_eq!(dag(&a), dag(&b));
     }
 
     #[test]
@@ -981,11 +900,7 @@ mod tests {
     fn same_seed_runs_share_deterministic_fields() {
         let a = run_throughput(&tiny());
         let b = run_throughput(&tiny());
-        for (x, y) in a.backends.iter().zip(&b.backends) {
-            assert_eq!(x.shard_checks, y.shard_checks);
-            assert_eq!(x.shard_allowed, y.shard_allowed);
-            assert_eq!(x.cache_hit_rate, y.cache_hit_rate);
-        }
+        assert_eq!(deterministic(&a), deterministic(&b));
         assert_eq!(a.metrics, b.metrics, "registry holds no wall-clock data");
     }
 
@@ -994,8 +909,8 @@ mod tests {
         let report = run_throughput(&tiny());
         let m = &report.metrics;
         // replay covers the four standard backends' multi-thread runs
-        // plus the batch backend's (the dag *section* drives raw engines
-        // outside the replay harness and feeds no registry).
+        // plus the batch backend's (the dag series drive raw engines
+        // outside the replay harness and feed no registry).
         assert_eq!(m.replay.checks, 5 * 2 * 300);
         assert_eq!(m.replay.shards, 5 * 2);
         // checker/cuckoo come from the Draco shards.
@@ -1022,11 +937,12 @@ mod tests {
             wall_ns: 0,
             metrics: MetricsRegistry::default(),
         };
-        let summary = summarize(&empty, &empty);
-        assert_eq!(summary.single_thread_checks_per_sec, 0.0);
-        assert_eq!(summary.multi_thread_checks_per_sec, 0.0);
-        assert_eq!(summary.parallel_speedup, 0.0);
-        assert_eq!(summary.cache_hit_rate, 0.0);
+        let mut series = Vec::new();
+        push_backend(&mut series, &empty, &empty);
+        assert_eq!(series.len(), 6);
+        for s in &series {
+            assert_eq!(s.value, 0.0, "{}", s.name);
+        }
         let report = ThroughputReport {
             schema: SCHEMA.to_owned(),
             workload: "tiny".to_owned(),
@@ -1034,13 +950,8 @@ mod tests {
             warmup_ops: 0,
             seed: 0,
             shards: 0,
-            backends: vec![summary],
+            series,
             metrics: MetricsRegistry::default(),
-            shared_threads: Vec::new(),
-            batch: None,
-            dag: None,
-            timeseries: None,
-            service: None,
         };
         let json = serde_json::to_string(&report).expect("serializes");
         assert!(!json.contains("null"), "no non-finite rate leaked: {json}");

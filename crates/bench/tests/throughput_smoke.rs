@@ -20,6 +20,22 @@ fn run_quick(out: &std::path::Path, extra: &[&str]) -> ThroughputReport {
     serde_json::from_str(&stdout).expect("stdout is a schema-valid report")
 }
 
+/// Every replay backend label, the batch backend included.
+const BACKENDS: [&str; 5] = [
+    "seccomp-interp",
+    "seccomp-compiled",
+    "draco-sw",
+    "draco-dag",
+    "draco-batch",
+];
+
+/// The value of a series the report must carry.
+fn v(report: &ThroughputReport, name: &str) -> f64 {
+    report
+        .value(name)
+        .unwrap_or_else(|| panic!("series `{name}` missing"))
+}
+
 #[test]
 fn quick_run_emits_schema_valid_json() {
     let out = std::env::temp_dir().join("draco_throughput_smoke.json");
@@ -28,44 +44,41 @@ fn quick_run_emits_schema_valid_json() {
     assert_eq!(report.schema, draco_bench::throughput::SCHEMA);
     assert_eq!(report.shards, 2);
     assert_eq!(report.seed, 11);
-    assert_eq!(report.backends.len(), 4);
-    for backend in &report.backends {
-        assert_eq!(backend.shard_checks.len(), 2);
-        assert!(backend.single_thread_checks_per_sec > 0.0);
-        assert!(backend.multi_thread_checks_per_sec > 0.0);
+    for label in BACKENDS {
+        assert!(
+            v(&report, &format!("{label}.single_checks_per_sec")) > 0.0,
+            "{label}"
+        );
+        assert!(
+            v(&report, &format!("{label}.multi_checks_per_sec")) > 0.0,
+            "{label}"
+        );
     }
-    assert!(report.backend("draco-sw").unwrap().cache_hit_rate > 0.5);
-    assert_eq!(
-        report.backend("draco-dag").unwrap().shard_allowed,
-        report.backend("draco-sw").unwrap().shard_allowed,
-        "dag-backed checker decisions must match the compiled-backed ones"
-    );
+    let hit_rate = v(&report, "draco-sw.cache_hit_rate");
+    assert!(hit_rate > 0.5);
+    assert_eq!(v(&report, "draco-dag.cache_hit_rate"), hit_rate);
 
-    // The batch section rode along with real numbers and the same
-    // deterministic per-shard tallies as the scalar draco-sw replay.
-    let batch = report.batch.as_ref().expect("v5 reports carry a batch section");
-    assert!(batch.batch > 0);
-    assert_eq!(batch.shard_checks.len(), 2);
-    assert!(batch.single_thread_checks_per_sec > 0.0);
-    assert!(batch.multi_thread_checks_per_sec > 0.0);
-    assert!(batch.speedup_vs_scalar_single > 0.0);
-    assert!(batch.batches > 0 && batch.prefetch_issued > 0);
-    assert_eq!(
-        batch.shard_allowed,
-        report.backend("draco-sw").unwrap().shard_allowed,
-        "batched decisions must match the scalar replay"
-    );
+    // The batch backend rode along with real numbers and the same hit
+    // rate as the scalar draco-sw replay.
+    assert!(v(&report, "draco-batch.batch") > 0.0);
+    assert!(v(&report, "draco-batch.speedup_vs_scalar") > 0.0);
+    assert!(v(&report, "draco-batch.batches") > 0.0);
+    assert!(v(&report, "draco-batch.prefetch_issued") > 0.0);
+    assert_eq!(v(&report, "draco-batch.cache_hit_rate"), hit_rate);
 
-    // The dag section rode along: a deny-heavy stream with all three
-    // filter engines timed over it.
-    let dag = report.dag.as_ref().expect("v6 reports carry a dag section");
-    assert!(dag.checks > 0);
-    assert!(dag.deny_rate > 0.5, "stream built to miss: {}", dag.deny_rate);
-    assert!(dag.interp_checks_per_sec > 0.0);
-    assert!(dag.compiled_checks_per_sec > 0.0);
-    assert!(dag.dag_checks_per_sec > 0.0);
-    assert!(dag.speedup_vs_interp > 0.0);
-    assert!(dag.table_entries > 0 && dag.closed_entries > 0);
+    // A deny-heavy stream with all three filter engines timed over it.
+    assert!(v(&report, "dag.checks") > 0.0);
+    assert!(v(&report, "dag.deny_rate") > 0.5, "stream built to miss");
+    for name in [
+        "dag.interp_checks_per_sec",
+        "dag.compiled_checks_per_sec",
+        "dag.dag_checks_per_sec",
+        "dag.speedup_vs_interp",
+        "dag.table_entries",
+        "dag.closed_entries",
+    ] {
+        assert!(v(&report, name) > 0.0, "{name}");
+    }
 
     // The file mirrors stdout and survives a serde round-trip.
     let on_disk = std::fs::read_to_string(&out).expect("report written");
@@ -85,23 +98,55 @@ fn same_seed_runs_have_identical_shard_counts() {
     let a = run_quick(&out_a, &flags);
     let b = run_quick(&out_b, &flags);
 
-    for (x, y) in a.backends.iter().zip(&b.backends) {
-        assert_eq!(x.backend, y.backend);
-        assert_eq!(x.shard_checks, y.shard_checks, "{}", x.backend);
-        assert_eq!(x.shard_allowed, y.shard_allowed, "{}", x.backend);
-        assert_eq!(x.cache_hit_rate, y.cache_hit_rate, "{}", x.backend);
+    // The registry's replay section sums every backend's per-shard
+    // check and allow tallies.
+    let replay = &a.metrics.replay;
+    assert_eq!(replay.shards, 5 * 2, "five backends, two shards each");
+    assert_eq!(replay.checks, 5 * 2 * 5_000);
+    assert_eq!(a.metrics, b.metrics, "the merged registry is deterministic");
+    for label in BACKENDS {
+        let name = format!("{label}.cache_hit_rate");
+        assert_eq!(v(&a, &name), v(&b, &name), "{name}");
     }
-    let (ba, bb) = (a.batch.as_ref().unwrap(), b.batch.as_ref().unwrap());
-    assert_eq!(ba.shard_checks, bb.shard_checks, "batch");
-    assert_eq!(ba.shard_allowed, bb.shard_allowed, "batch");
-    assert_eq!(ba.cache_hit_rate, bb.cache_hit_rate, "batch");
-    assert_eq!(
-        (ba.batches, ba.prefetch_issued, ba.miss_dedup_hits),
-        (bb.batches, bb.prefetch_issued, bb.miss_dedup_hits),
-        "batch counters are deterministic"
-    );
+    for name in [
+        "draco-batch.batches",
+        "draco-batch.prefetch_issued",
+        "draco-batch.miss_dedup_hits",
+    ] {
+        assert_eq!(
+            v(&a, name),
+            v(&b, name),
+            "batch counters are deterministic: {name}"
+        );
+    }
     let _ = std::fs::remove_file(&out_a);
     let _ = std::fs::remove_file(&out_b);
+}
+
+#[test]
+fn quick_run_writes_under_the_current_directory() {
+    let dir = std::env::temp_dir().join(format!("draco_throughput_cwd_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["throughput", "--quick", "--shards", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("repro runs");
+    assert!(
+        output.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(dir.join("target/BENCH_throughput.quick.json"))
+        .expect("the quick report lands under the current directory");
+    let report: ThroughputReport = serde_json::from_str(&text).expect("report parses");
+    assert!(v(&report, "draco-sw.single_checks_per_sec") > 0.0);
+    assert!(
+        !dir.join("BENCH_history.jsonl").exists(),
+        "quick runs leave the history alone"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -111,7 +156,5 @@ fn warmup_at_least_ops_is_rejected() {
         .output()
         .expect("repro runs");
     assert!(!output.status.success());
-    assert!(
-        String::from_utf8_lossy(&output.stderr).contains("--warmup must be below --ops")
-    );
+    assert!(String::from_utf8_lossy(&output.stderr).contains("--warmup must be below --ops"));
 }

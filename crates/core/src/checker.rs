@@ -298,10 +298,14 @@ impl DracoChecker {
 
     /// A checker for a forked child: the parent's policy (profile,
     /// engine and analysis plan, shared — nothing is recompiled) over
-    /// cold tables, with no preload and none of the parent's counters
-    /// or observability attachments.
+    /// cold tables sized like the parent's (a VAT capacity cap is
+    /// inherited), with no preload and none of the parent's counters or
+    /// observability attachments.
     pub(crate) fn fork(&self) -> Self {
-        Self::with_policy(Arc::clone(&self.policy))
+        DracoChecker {
+            vat: self.vat.cold_copy(),
+            ..Self::with_policy(Arc::clone(&self.policy))
+        }
     }
 
     /// The flavor of the miss-path filter engine.

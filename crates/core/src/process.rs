@@ -274,6 +274,29 @@ mod tests {
     }
 
     #[test]
+    fn fork_keeps_the_vat_capacity_cap() {
+        let requests: Vec<SyscallRequest> = (0..64u64).map(|i| req(0, &[i, 0xdead, 64])).collect();
+        let mut gen = ProfileGenerator::new("many-read-sets");
+        for r in &requests {
+            gen.observe(r);
+        }
+        let profile = gen.emit(ProfileKind::SyscallComplete);
+        let mut parent = DracoProcess::spawn(ProcessId(1), &profile).unwrap();
+        *parent.checker_mut() = DracoChecker::from_profile(&profile)
+            .unwrap()
+            .with_vat_capacity_cap(4);
+        let mut child = parent.fork(ProcessId(2));
+        for r in &requests {
+            assert!(child.syscall(r).action.permits());
+        }
+        let resident = child.checker().vat().resident_sets();
+        assert!(
+            0 < resident && resident <= 4,
+            "child resident sets: {resident}"
+        );
+    }
+
+    #[test]
     fn fork_keeps_the_engine_and_the_analysis_plan() {
         let profile = draco_profiles::docker_default();
         let analysis = draco_profiles::analyze_profile(&profile).unwrap();

@@ -530,9 +530,14 @@ impl SharedDracoProcess {
     /// so nothing is recompiled — but starts with cold, *unshared*,
     /// un-preloaded tables (paper §VII-B, and the same semantics as
     /// [`crate::DracoProcess::fork`]: a forked address space shares
-    /// nothing with the parent's cached validations).
+    /// nothing with the parent's cached validations). A VAT capacity cap
+    /// ([`SharedDracoProcess::spawn_capped`]) is inherited.
     pub fn fork(&self, child_pid: ProcessId) -> SharedDracoProcess {
-        SharedDracoProcess::with_policy(child_pid, self.state.read_policy(), None)
+        SharedDracoProcess::with_policy(
+            child_pid,
+            self.state.read_policy(),
+            self.state.vat.capacity_cap,
+        )
     }
 
     /// Attaches an additional filter: the effective policy becomes the
@@ -1361,15 +1366,47 @@ mod tests {
         assert_eq!(m.replay.checks, 0, "not our section");
     }
 
+    /// A profile whitelisting 64 distinct argument sets of `read`, and
+    /// the 64 requests that use them.
+    fn many_read_sets() -> (draco_profiles::ProfileSpec, Vec<SyscallRequest>) {
+        let requests: Vec<SyscallRequest> = (0..64u64).map(|i| req(0, &[i, 0xdead, 64])).collect();
+        let mut gen = ProfileGenerator::new("many-read-sets");
+        for r in &requests {
+            gen.observe(r);
+        }
+        (gen.emit(ProfileKind::SyscallComplete), requests)
+    }
+
+    /// Runs `requests` on a fresh thread of `process`; returns how many
+    /// were allowed.
+    fn allowed(process: &SharedDracoProcess, requests: &[SyscallRequest]) -> usize {
+        let mut t = process.spawn_thread();
+        requests
+            .iter()
+            .filter(|r| t.check(r).action.permits())
+            .count()
+    }
+
     #[test]
     fn capped_tables_bound_memory() {
-        let process =
-            SharedDracoProcess::spawn_capped(ProcessId(1), &docker_default(), 4).unwrap();
-        let mut t = process.spawn_thread();
-        for i in 0..64u64 {
-            t.check(&req(135, &[0x1234 + (i << 16), 0, 0]));
-        }
-        assert!(process.metrics().vat.resident_sets <= 4);
+        let (profile, requests) = many_read_sets();
+        let process = SharedDracoProcess::spawn_capped(ProcessId(1), &profile, 4).unwrap();
+        assert_eq!(allowed(&process, &requests), 64, "every set is whitelisted");
+        let resident = process.metrics().vat.resident_sets;
+        assert!(0 < resident && resident <= 4, "resident sets: {resident}");
+    }
+
+    #[test]
+    fn fork_keeps_the_vat_capacity_cap() {
+        let (profile, requests) = many_read_sets();
+        let parent = SharedDracoProcess::spawn_capped(ProcessId(1), &profile, 4).unwrap();
+        let child = parent.fork(ProcessId(2));
+        assert_eq!(allowed(&child, &requests), 64);
+        let resident = child.metrics().vat.resident_sets;
+        assert!(
+            0 < resident && resident <= 4,
+            "child resident sets: {resident}"
+        );
     }
 
     #[test]

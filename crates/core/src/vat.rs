@@ -148,6 +148,17 @@ impl Vat {
         self
     }
 
+    /// An empty VAT sized like this one (same minimum capacity and cap):
+    /// the tables a forked child starts with.
+    #[must_use]
+    pub(crate) fn cold_copy(&self) -> Self {
+        Vat {
+            min_capacity: self.min_capacity,
+            capacity_cap: self.capacity_cap,
+            ..Vat::new()
+        }
+    }
+
     /// Creates (or finds) the table for a syscall, sized for
     /// `expected_sets` argument sets. Returns the table index — the SPT's
     /// Base field.

@@ -88,7 +88,7 @@ fn run(args: &[String]) -> i32 {
                  \x20       [--sample N] [--hw] [--out PATH]\n\
                  \x20 stats <workload> [--ops N] [--seed N] [--trace N] [--batch N]\n\
                  \x20       [--json] [--prom]\n\
-                 \x20 stats --quick [PATH]   (summarize target/BENCH_throughput.quick.json)\n\
+                 \x20 stats --quick [PATH]   (summarize ./target/BENCH_throughput.quick.json)\n\
                  \x20 top <workload> [--shards N] [--ops N] [--warmup N] [--seed N]\n\
                  \x20     [--rounds N] [--window N] [--deny-every N] [--batch N] [--dag]\n\
                  \x20 audit <workload> [--follow] [--format jsonl|human] [--shards N]\n\
@@ -837,6 +837,20 @@ fn parse_u64(s: &str) -> Result<u64, String> {
     parsed.map_err(|_| format!("bad numeric argument `{s}`"))
 }
 
+/// The numeric value after the flag at `args[*i]`: advances `*i` onto
+/// it, or prints `<flag> needs a numeric value` and exits 2 when the
+/// value is missing or does not parse.
+fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    args.get(*i)
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| {
+            eprintln!("{flag} needs a numeric value");
+            std::process::exit(2);
+        })
+}
+
 /// Replays a generated workload trace through the software checker and
 /// prints the merged observability snapshot — the CLI face of the
 /// `draco-obs` registry. `--trace N` keeps the last `N` flow
@@ -850,7 +864,8 @@ fn parse_u64(s: &str) -> Result<u64, String> {
 ///
 /// `dracoctl stats --quick [PATH]` takes no workload: it summarizes an
 /// untracked quick bench report (`repro throughput --quick`), default
-/// path `target/BENCH_throughput.quick.json` at the repo root.
+/// path `target/BENCH_throughput.quick.json` under the current
+/// directory.
 fn stats_cmd(args: &[String]) -> i32 {
     let Some(name) = args.first() else {
         eprintln!(
@@ -860,18 +875,14 @@ fn stats_cmd(args: &[String]) -> i32 {
         return 2;
     };
     if name == "--quick" {
-        let path = args.get(1).cloned().unwrap_or_else(|| {
-            concat!(
-                env!("CARGO_MANIFEST_DIR"),
-                "/../../target/BENCH_throughput.quick.json"
-            )
-            .to_owned()
-        });
+        let path = args
+            .get(1)
+            .map_or("target/BENCH_throughput.quick.json", String::as_str);
         if args.len() > 2 {
             eprintln!("unknown flag `{}`", args[2]);
             return 2;
         }
-        return quick_bench_summary(&path);
+        return quick_bench_summary(path);
     }
     let Some(spec) = catalog::by_name(name) else {
         eprintln!("unknown workload `{name}` (try `dracoctl workloads`)");
@@ -886,22 +897,10 @@ fn stats_cmd(args: &[String]) -> i32 {
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--ops" => {
-                i += 1;
-                ops = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(ops);
-            }
-            "--seed" => {
-                i += 1;
-                seed = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(seed);
-            }
-            "--trace" => {
-                i += 1;
-                ring_cap = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(ring_cap);
-            }
-            "--batch" => {
-                i += 1;
-                batch = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(batch);
-            }
+            "--ops" => ops = flag_value(args, &mut i),
+            "--seed" => seed = flag_value(args, &mut i),
+            "--trace" => ring_cap = flag_value(args, &mut i),
+            "--batch" => batch = flag_value(args, &mut i),
             "--json" => json = true,
             "--prom" => prom = true,
             other => {
@@ -976,9 +975,9 @@ fn stats_cmd(args: &[String]) -> i32 {
     0
 }
 
-/// Summarizes an untracked quick throughput report generically (the
-/// CLI has no `draco-bench` dependency, so the JSON is read through
-/// `serde_json::Value` and tolerates any `draco-throughput/*` schema).
+/// Summarizes an untracked quick throughput report: one line per named
+/// series (the CLI has no `draco-bench` dependency, so the JSON is read
+/// through `serde_json::Value`).
 fn quick_bench_summary(path: &str) -> i32 {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -999,6 +998,10 @@ fn quick_bench_summary(path: &str) -> i32 {
         eprintln!("`{path}` is not a throughput report (schema `{schema}`)");
         return 1;
     }
+    let Some(series) = doc.get("series").and_then(|v| v.as_array()) else {
+        eprintln!("`{path}` holds no series (re-run `repro throughput --quick`)");
+        return 1;
+    };
     println!(
         "{path}: {schema} — workload {}, {} ops/shard x {} shards (seed {})",
         doc.get("workload").and_then(|v| v.as_str()).unwrap_or("?"),
@@ -1006,33 +1009,12 @@ fn quick_bench_summary(path: &str) -> i32 {
         doc.get("shards").and_then(|v| v.as_u64()).unwrap_or(0),
         doc.get("seed").and_then(|v| v.as_u64()).unwrap_or(0),
     );
-    println!(
-        "{:<18} {:>14} {:>14} {:>9} {:>9}",
-        "backend", "1-thread", "N-thread", "speedup", "hit-rate"
-    );
-    for b in doc
-        .get("backends")
-        .and_then(|v| v.as_array())
-        .map_or(&[][..], Vec::as_slice)
-    {
+    for s in series {
         println!(
-            "{:<18} {:>14.0} {:>14.0} {:>8.2}x {:>8.1}%",
-            b.get("backend").and_then(|v| v.as_str()).unwrap_or("?"),
-            b.get("single_thread_checks_per_sec").and_then(|v| v.as_f64()).unwrap_or(0.0),
-            b.get("multi_thread_checks_per_sec").and_then(|v| v.as_f64()).unwrap_or(0.0),
-            b.get("parallel_speedup").and_then(|v| v.as_f64()).unwrap_or(0.0),
-            b.get("cache_hit_rate").and_then(|v| v.as_f64()).unwrap_or(0.0) * 100.0,
-        );
-    }
-    if let Some(ts) = doc.get("timeseries").filter(|v| !v.is_null()) {
-        println!(
-            "timeseries: {} intervals held ({} pushed, {} dropped), {} denials, audit {} published / {} dropped",
-            ts.get("intervals").and_then(|v| v.as_u64()).unwrap_or(0),
-            ts.get("intervals_pushed").and_then(|v| v.as_u64()).unwrap_or(0),
-            ts.get("intervals_dropped").and_then(|v| v.as_u64()).unwrap_or(0),
-            ts.get("denials").and_then(|v| v.as_u64()).unwrap_or(0),
-            ts.get("audit_published").and_then(|v| v.as_u64()).unwrap_or(0),
-            ts.get("audit_dropped").and_then(|v| v.as_u64()).unwrap_or(0),
+            "  {:<40} {:>20.3} {}",
+            s.get("name").and_then(|v| v.as_str()).unwrap_or("?"),
+            s.get("value").and_then(serde_json::Value::as_f64).unwrap_or(0.0),
+            s.get("unit").and_then(|v| v.as_str()).unwrap_or(""),
         );
     }
     0
@@ -1068,46 +1050,14 @@ fn top_cmd(args: &[String]) -> i32 {
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--shards" => {
-                i += 1;
-                cfg.replay.shards =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.replay.shards);
-            }
-            "--ops" => {
-                i += 1;
-                cfg.replay.ops_per_shard = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cfg.replay.ops_per_shard);
-            }
-            "--warmup" => {
-                i += 1;
-                cfg.replay.warmup_ops =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.replay.warmup_ops);
-            }
-            "--seed" => {
-                i += 1;
-                cfg.replay.base_seed =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.replay.base_seed);
-            }
-            "--rounds" => {
-                i += 1;
-                cfg.rounds = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.rounds);
-            }
-            "--window" => {
-                i += 1;
-                cfg.window_capacity =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.window_capacity);
-            }
-            "--deny-every" => {
-                i += 1;
-                cfg.deny_every =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.deny_every);
-            }
-            "--batch" => {
-                i += 1;
-                batch = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(batch);
-            }
+            "--shards" => cfg.replay.shards = flag_value(args, &mut i),
+            "--ops" => cfg.replay.ops_per_shard = flag_value(args, &mut i),
+            "--warmup" => cfg.replay.warmup_ops = flag_value(args, &mut i),
+            "--seed" => cfg.replay.base_seed = flag_value(args, &mut i),
+            "--rounds" => cfg.rounds = flag_value(args, &mut i),
+            "--window" => cfg.window_capacity = flag_value(args, &mut i),
+            "--deny-every" => cfg.deny_every = flag_value(args, &mut i),
+            "--batch" => batch = flag_value(args, &mut i),
             "--dag" => dag = true,
             other => {
                 eprintln!("unknown flag `{other}`");
@@ -1232,54 +1182,15 @@ fn audit_cmd(args: &[String]) -> i32 {
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--shards" => {
-                i += 1;
-                cfg.replay.shards =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.replay.shards);
-            }
-            "--ops" => {
-                i += 1;
-                cfg.replay.ops_per_shard = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cfg.replay.ops_per_shard);
-            }
-            "--warmup" => {
-                i += 1;
-                cfg.replay.warmup_ops =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.replay.warmup_ops);
-            }
-            "--seed" => {
-                i += 1;
-                cfg.replay.base_seed =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.replay.base_seed);
-            }
-            "--rounds" => {
-                i += 1;
-                cfg.rounds = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.rounds);
-            }
-            "--deny-every" => {
-                i += 1;
-                cfg.deny_every =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.deny_every);
-            }
-            "--capacity" => {
-                i += 1;
-                cfg.audit_capacity =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.audit_capacity);
-            }
-            "--burst" => {
-                i += 1;
-                cfg.audit_burst =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.audit_burst);
-            }
-            "--refill" => {
-                i += 1;
-                cfg.audit_refill_per_round = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(cfg.audit_refill_per_round);
-            }
+            "--shards" => cfg.replay.shards = flag_value(args, &mut i),
+            "--ops" => cfg.replay.ops_per_shard = flag_value(args, &mut i),
+            "--warmup" => cfg.replay.warmup_ops = flag_value(args, &mut i),
+            "--seed" => cfg.replay.base_seed = flag_value(args, &mut i),
+            "--rounds" => cfg.rounds = flag_value(args, &mut i),
+            "--deny-every" => cfg.deny_every = flag_value(args, &mut i),
+            "--capacity" => cfg.audit_capacity = flag_value(args, &mut i),
+            "--burst" => cfg.audit_burst = flag_value(args, &mut i),
+            "--refill" => cfg.audit_refill_per_round = flag_value(args, &mut i),
             "--format" => {
                 i += 1;
                 format = args.get(i).cloned().unwrap_or(format);
@@ -1439,25 +1350,10 @@ fn shared_replay_cmd(args: &[String]) -> i32 {
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--threads" => {
-                i += 1;
-                cfg.threads = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.threads);
-            }
-            "--ops" => {
-                i += 1;
-                cfg.ops_per_thread =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.ops_per_thread);
-            }
-            "--warmup" => {
-                i += 1;
-                cfg.warmup_ops =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.warmup_ops);
-            }
-            "--seed" => {
-                i += 1;
-                cfg.base_seed =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.base_seed);
-            }
+            "--threads" => cfg.threads = flag_value(args, &mut i),
+            "--ops" => cfg.ops_per_thread = flag_value(args, &mut i),
+            "--warmup" => cfg.warmup_ops = flag_value(args, &mut i),
+            "--seed" => cfg.base_seed = flag_value(args, &mut i),
             "--mix" => {
                 i += 1;
                 cfg.mix = match args.get(i).map(String::as_str) {
@@ -1472,10 +1368,7 @@ fn shared_replay_cmd(args: &[String]) -> i32 {
                     }
                 };
             }
-            "--batch" => {
-                i += 1;
-                batch = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(batch);
-            }
+            "--batch" => batch = flag_value(args, &mut i),
             "--json" => json = true,
             other => {
                 eprintln!("unknown flag `{other}`");
@@ -1579,14 +1472,8 @@ fn trace_cmd(args: &[String]) -> i32 {
             let mut i = 2;
             while i < args.len() {
                 match args[i].as_str() {
-                    "--ops" => {
-                        i += 1;
-                        ops = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(ops);
-                    }
-                    "--seed" => {
-                        i += 1;
-                        seed = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(seed);
-                    }
+                    "--ops" => ops = flag_value(args, &mut i),
+                    "--seed" => seed = flag_value(args, &mut i),
                     other => {
                         eprintln!("unknown flag `{other}`");
                         return 2;
@@ -1673,18 +1560,9 @@ fn span_trace_cmd(name: &str, args: &[String]) -> i32 {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--ops" => {
-                i += 1;
-                ops = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(ops);
-            }
-            "--seed" => {
-                i += 1;
-                seed = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(seed);
-            }
-            "--sample" => {
-                i += 1;
-                sample = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(sample);
-            }
+            "--ops" => ops = flag_value(args, &mut i),
+            "--seed" => seed = flag_value(args, &mut i),
+            "--sample" => sample = flag_value(args, &mut i),
             "--format" => {
                 i += 1;
                 format = args.get(i).cloned().unwrap_or(format);
@@ -1792,10 +1670,7 @@ fn serve_cmd(args: &[String]) -> i32 {
                     }
                 };
             }
-            "--batch" => {
-                i += 1;
-                cfg.batch = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.batch);
-            }
+            "--batch" => cfg.batch = flag_value(args, &mut i),
             "--analyzed" => cfg.analyzed = true,
             other => {
                 eprintln!("unknown flag `{other}`");
@@ -1974,27 +1849,11 @@ fn bench_service_cmd(args: &[String]) -> i32 {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => cfg = ChurnConfig::quick(),
-            "--tenants" => {
-                i += 1;
-                cfg.tenants = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.tenants);
-            }
-            "--rounds" => {
-                i += 1;
-                cfg.rounds = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.rounds);
-            }
-            "--ops" => {
-                i += 1;
-                cfg.ops_per_round =
-                    args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.ops_per_round);
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.seed);
-            }
-            "--batch" => {
-                i += 1;
-                cfg.batch = args.get(i).and_then(|v| v.parse().ok()).unwrap_or(cfg.batch);
-            }
+            "--tenants" => cfg.tenants = flag_value(args, &mut i),
+            "--rounds" => cfg.rounds = flag_value(args, &mut i),
+            "--ops" => cfg.ops_per_round = flag_value(args, &mut i),
+            "--seed" => cfg.seed = flag_value(args, &mut i),
+            "--batch" => cfg.batch = flag_value(args, &mut i),
             "--json" => json = true,
             other => {
                 eprintln!("unknown flag `{other}`");
@@ -2247,25 +2106,22 @@ mod tests {
         let path = dir.join("quick.json");
         std::fs::write(
             &path,
-            r#"{"schema":"draco-throughput/v7","workload":"pipe",
+            r#"{"schema":"draco-throughput/v9","workload":"pipe",
                 "ops_per_shard":5000,"warmup_ops":1000,"seed":2020,"shards":2,
-                "backends":[{"backend":"draco-sw",
-                             "single_thread_checks_per_sec":1e6,
-                             "multi_thread_checks_per_sec":2e6,
-                             "parallel_speedup":2.0,"cache_hit_rate":0.9}],
-                "timeseries":{"schema":"draco-timeseries/v1","rounds":16,
-                              "intervals":16,"intervals_pushed":16,
-                              "intervals_dropped":0,"checks":10000,
-                              "denials":1250,"deny_every":8,
-                              "audit_published":1250,"audit_dropped":0,
-                              "checks_per_sec":1e6,"cache_hit_rate":0.9,
-                              "deny_rate":0.125}}"#,
+                "series":[
+                  {"name":"draco-sw.single_checks_per_sec","unit":"checks/s","value":1e6},
+                  {"name":"timeseries.audit_dropped","unit":"count","value":0}]}"#,
         )
         .unwrap();
         let arg = path.to_str().unwrap();
         assert_eq!(stats_cmd(&argv(&["--quick", arg])), 0);
         assert_eq!(stats_cmd(&argv(&["--quick", arg, "--bogus"])), 2);
         assert_eq!(stats_cmd(&argv(&["--quick", "/nonexistent/quick.json"])), 1);
+        let old_schema = dir.join("v8.json");
+        std::fs::write(&old_schema, r#"{"schema":"draco-throughput/v8"}"#).unwrap();
+        let old_arg = old_schema.to_str().unwrap();
+        assert_eq!(stats_cmd(&argv(&["--quick", old_arg])), 1, "no series");
+        let _ = std::fs::remove_file(&old_schema);
         let not_a_report = dir.join("other.json");
         std::fs::write(&not_a_report, r#"{"schema":"draco-analysis/v1"}"#).unwrap();
         assert_eq!(

@@ -104,6 +104,25 @@ fn stats_json_round_trips_through_the_registry_schema() {
 }
 
 #[test]
+fn flag_without_a_value_is_a_usage_error() {
+    let (code, out, err) = dracoctl(&["stats", "pipe", "--ops"]);
+    assert_eq!(code, 2);
+    assert!(err.contains("--ops needs a numeric value"), "{err}");
+    assert!(out.is_empty(), "nothing ran: {out}");
+}
+
+#[test]
+fn unparsable_flag_value_is_a_usage_error() {
+    let (code, out, err) = dracoctl(&["stats", "pipe", "--ops", "abc"]);
+    assert_eq!(code, 2);
+    assert!(err.contains("--ops needs a numeric value"), "{err}");
+    assert!(out.is_empty(), "nothing ran with a default: {out}");
+    let (code, _, err) = dracoctl(&["bench-service", "--quick", "--seed", "-1"]);
+    assert_eq!(code, 2, "a negative seed does not parse as u64");
+    assert!(err.contains("--seed needs a numeric value"), "{err}");
+}
+
+#[test]
 fn stats_prints_quantile_upper_bounds() {
     let (code, out, _) = dracoctl(&["stats", "pipe", "--ops", "500"]);
     assert_eq!(code, 0);
